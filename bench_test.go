@@ -385,24 +385,6 @@ func BenchmarkCrossbarMapWeights(b *testing.B) {
 	}
 }
 
-func BenchmarkEffectiveWeights(b *testing.B) {
-	p := device.Params32()
-	rng := tensor.NewRNG(1)
-	w := tensor.New(128, 64)
-	rng.FillNormal(w, 0, 0.5)
-	cb, err := crossbar.New(128, 64, p, aging.DefaultModel(), 300)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cb.EffectiveWeights(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTuneIteration(b *testing.B) {
 	cfgDS := dataset.SynthConfig{Classes: 4, TrainN: 96, TestN: 32, C: 3, H: 8, W: 8, Noise: 0.2, Seed: 9}
 	trainDS, testDS := dataset.MustGenerate(cfgDS)

@@ -1,15 +1,17 @@
 // Package bench is the programmatic benchmark harness: a registry of
-// named micro-kernels covering the hot read path (cached vs naive VMM
-// and readback, the batched kernel, raw matmul, and weight mapping),
-// run through testing.Benchmark and emitted as a canonical JSON report
+// named micro-kernels covering the hot read path (cached vs naive
+// readback), raw matmul, weight mapping and quantization, and batched
+// tuning pulses, run through testing.Benchmark and emitted as a
+// canonical JSON report
 // (BENCH_<date>.json). CI re-runs the kernels and gates on a committed
 // baseline with Compare: ns/op with a generous cross-machine tolerance
 // (it catches order-of-magnitude regressions, not scheduler jitter) and
 // allocs/op tightly (allocation counts are machine-independent). The
 // machine-independent performance claim — the cached read path is at
 // least 3x faster than the naive per-device oracle on repeated reads of
-// the same mapped array — is asserted by TestVMMCachedSpeedup, which
-// measures both kernels in the same process so hardware cancels out.
+// the same mapped array — is asserted by TestReadbackCachedSpeedup,
+// which measures both kernels in the same process so hardware cancels
+// out.
 package bench
 
 import (
@@ -125,9 +127,8 @@ var zeroAlloc int64 = 0
 const byteBudgetNoise = 64 << 10
 
 // benchState is the shared fixture: one mapped crossbar (no faults, so
-// reads are pure and draw no RNG), an input vector, an input batch, and
-// a weight matrix. Sized so per-op cost is dominated by the kernel, not
-// the harness.
+// reads are pure and draw no RNG) and its weight matrix. Sized so per-op
+// cost is dominated by the kernel, not the harness.
 const (
 	benchRows  = 64
 	benchCols  = 64
@@ -153,40 +154,17 @@ func kernels() ([]kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := tensor.New(benchRows)
-	tensor.NewRNG(18).FillNormal(x, 0, 1)
-	xb := tensor.New(benchBatch, benchRows)
-	tensor.NewRNG(19).FillNormal(xb, 0, 1)
 
 	// The repeated-read kernels measure steady-state serving: the SAME
 	// mapped array read b.N (>= 100) times with no mutation in between,
 	// which is exactly the per-application inference pattern the cache
 	// was built for.
 	ks := []kernel{
-		{name: "vmm/cached", maxAllocs: &zeroAlloc, maxBytes: &zeroAlloc, run: func(b *testing.B) {
-			// Steady-state serving through the caller-owned destination:
-			// with a warm cache, zero allocations per read.
-			dst := tensor.New(benchCols)
-			if err := cb.VMMInto(dst, x); err != nil { // warm the cache outside the timer
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := cb.VMMInto(dst, x); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "vmm/naive", run: func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cb.VMMNaive(x); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 		{name: "effweights/cached", maxAllocs: &zeroAlloc, maxBytes: &zeroAlloc, run: func(b *testing.B) {
+			// Steady-state readback into a caller-owned destination: with
+			// a warm cache, zero allocations per read.
 			dst := tensor.New(benchRows, benchCols)
-			if err := cb.ReadWeightsInto(dst); err != nil {
+			if err := cb.ReadWeightsInto(dst); err != nil { // warm the cache outside the timer
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -199,31 +177,6 @@ func kernels() ([]kernel, error) {
 		{name: "effweights/naive", run: func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := cb.EffectiveWeightsNaive(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "vmmbatch", run: func(b *testing.B) {
-			if _, err := cb.VMMBatch(xb, 0); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cb.VMMBatch(xb, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "vmmbatch/into", maxAllocs: &zeroAlloc, maxBytes: &zeroAlloc, run: func(b *testing.B) {
-			// The caller-owned-destination batch kernel: the whole batch
-			// evaluated with zero allocations.
-			dst := tensor.New(benchBatch, benchCols)
-			if err := cb.VMMBatchInto(dst, xb, 0); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := cb.VMMBatchInto(dst, xb, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

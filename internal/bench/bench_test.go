@@ -153,7 +153,6 @@ func TestNamesCoverTheContract(t *testing.T) {
 		"effweights/cached", "effweights/naive", "fleet/tick",
 		"mapweights", "mapweights/lut", "matmul", "model/pulse",
 		"stepdevice/batch", "telemetry/counter_disabled",
-		"vmm/cached", "vmm/naive", "vmmbatch", "vmmbatch/into",
 	}
 	got := Names()
 	sort.Strings(want)
@@ -199,14 +198,14 @@ func TestDisabledTelemetryZeroAlloc(t *testing.T) {
 
 // TestHotKernelBudgets measures every budgeted hot kernel and enforces
 // its own stamped budget via Compare(rep, rep, ...): the steady-state
-// VMM, batch VMM, readback, mapping, quantization, and batched stepping
-// kernels must measure 0 allocs/op and 0 bytes/op on this machine.
+// readback, mapping, quantization, and batched stepping kernels must
+// measure 0 allocs/op and 0 bytes/op on this machine.
 // Skipped in -short runs (testing.Benchmark spends ~1s per kernel).
 func TestHotKernelBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark measurement in -short mode")
 	}
-	names := []string{"vmm/cached", "vmmbatch/into", "effweights/cached", "mapweights", "mapweights/lut", "stepdevice/batch"}
+	names := []string{"effweights/cached", "mapweights", "mapweights/lut", "stepdevice/batch"}
 	rep, err := Run("test", names)
 	if err != nil {
 		t.Fatal(err)
@@ -225,30 +224,31 @@ func TestHotKernelBudgets(t *testing.T) {
 	}
 }
 
-// TestVMMCachedSpeedup is the acceptance check for the cached read
-// path: repeated VMMs against the same mapped array (>= 100 reads; in
+// TestReadbackCachedSpeedup is the acceptance check for the cached read
+// path: repeated readbacks of the same mapped array (>= 100 reads; in
 // practice b.N is far larger) must be at least 3x faster through the
-// cache than through the naive per-device oracle. Both kernels run in
-// this process, so the ratio is machine-independent. Skipped in -short
-// runs: testing.Benchmark spends ~1s per kernel.
-func TestVMMCachedSpeedup(t *testing.T) {
+// cache (ReadWeightsInto) than through the naive per-device oracle
+// (EffectiveWeightsNaive). Both kernels run in this process, so the
+// ratio is machine-independent. Skipped in -short runs:
+// testing.Benchmark spends ~1s per kernel.
+func TestReadbackCachedSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark measurement in -short mode")
 	}
-	rep, err := Run("test", []string{"vmm/cached", "vmm/naive"})
+	rep, err := Run("test", []string{"effweights/cached", "effweights/naive"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, _ := rep.Get("vmm/cached")
+	cached, _ := rep.Get("effweights/cached")
 	if cached.Iterations < 100 {
 		t.Fatalf("cached kernel ran only %d reads, want >= 100", cached.Iterations)
 	}
-	ratio, err := Speedup(rep, "vmm/naive", "vmm/cached")
+	ratio, err := Speedup(rep, "effweights/naive", "effweights/cached")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ratio < 3 {
-		t.Fatalf("cached VMM speedup %.1fx, want >= 3x", ratio)
+		t.Fatalf("cached readback speedup %.1fx, want >= 3x", ratio)
 	}
-	t.Logf("cached VMM speedup: %.1fx", ratio)
+	t.Logf("cached readback speedup: %.1fx", ratio)
 }

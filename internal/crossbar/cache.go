@@ -7,23 +7,24 @@ import (
 	"memlife/internal/tensor"
 )
 
-// ErrNotMapped is returned by the read path (EffectiveWeights, VMM and
-// friends) when the array has never been programmed with MapWeights:
-// there is no mapping range, so resistances cannot be interpreted as
-// weights.
+// ErrNotMapped is returned by the read path (ReadWeightsInto,
+// EffectiveWeightsNaive) when the array has never been programmed with
+// MapWeights: there is no mapping range, so resistances cannot be
+// interpreted as weights.
 var ErrNotMapped = errors.New("crossbar: read before MapWeights")
 
 // The cached read path.
 //
-// Every read of the array (EffectiveWeights, ReadWeightsInto, VMM,
-// VMMBatch) is served from a materialized effective-weight matrix that
-// is computed once and then kept current incrementally:
+// ReadWeightsInto is the one way to read the array. It is served from a
+// materialized effective-weight matrix that is computed once and then
+// kept current incrementally:
 //
-//   - StepDevice patches the single cell it moved (cache and transpose).
+//   - StepDevice / StepDevices patch the single cell each pulse moved.
 //   - AdvanceFaults patches the cells of newly stuck devices.
 //   - MapWeights / MapWeightsFaultAware / SetFaultInjector / Drift /
-//     AddStress / RandomizeAging / SetTempK / the public Device accessor
-//     invalidate the whole cache; the next read rebuilds it.
+//     StateDrift / AddStress / RandomizeAging / SetTempK / the public
+//     Device accessor invalidate the whole cache; the next read
+//     rebuilds it.
 //   - Read-burst noise (fault injection) is applied per read without
 //     touching the cache: a burst-affected read recomputes noisy values
 //     from device state directly, and the clean cache survives.
@@ -32,14 +33,12 @@ var ErrNotMapped = errors.New("crossbar: read before MapWeights")
 // device resistance and the mapping ranges — so a patched cache is
 // bit-identical to a full recompute; TestEquivalence* and
 // FuzzCacheInvalidation in this package prove it against the naive
-// oracle (EffectiveWeightsNaive / VMMNaive).
+// oracle (EffectiveWeightsNaive).
 
 // invalidate drops the materialized matrix; the next read rebuilds it.
 func (c *Crossbar) invalidate() { c.effValid = false }
 
-// ensure (re)builds the effective-weight matrix and its transpose. The
-// transpose is kept column-major-for-MatVec: row j of effT is column j
-// of the array, so VMM streams it sequentially.
+// ensure (re)builds the effective-weight matrix.
 func (c *Crossbar) ensure() {
 	if c.effValid {
 		c.tel.cacheHits.Inc()
@@ -48,14 +47,11 @@ func (c *Crossbar) ensure() {
 	c.tel.cacheMisses.Inc()
 	if c.eff == nil {
 		c.eff = tensor.New(c.Rows, c.Cols)
-		c.effT = tensor.New(c.Cols, c.Rows)
 	}
-	ed, td := c.eff.Data(), c.effT.Data()
+	ed := c.eff.Data()
 	for i := 0; i < c.Rows; i++ {
 		for j := 0; j < c.Cols; j++ {
-			w := EffectiveWeight(c.at(i, j).Resistance(), c.wMin, c.wMax, c.rLo, c.rHi)
-			ed[i*c.Cols+j] = w
-			td[j*c.Rows+i] = w
+			ed[i*c.Cols+j] = EffectiveWeight(c.at(i, j).Resistance(), c.wMin, c.wMax, c.rLo, c.rHi)
 		}
 	}
 	c.effValid = true
@@ -68,9 +64,7 @@ func (c *Crossbar) patch(i, j int) {
 	if !c.effValid || !c.mapped {
 		return
 	}
-	w := EffectiveWeight(c.at(i, j).Resistance(), c.wMin, c.wMax, c.rLo, c.rHi)
-	c.eff.Data()[i*c.Cols+j] = w
-	c.effT.Data()[j*c.Rows+i] = w
+	c.eff.Data()[i*c.Cols+j] = EffectiveWeight(c.at(i, j).Resistance(), c.wMin, c.wMax, c.rLo, c.rHi)
 }
 
 // noisyInto writes a burst-affected readback into dst: every device's
@@ -88,11 +82,24 @@ func (c *Crossbar) noisyInto(dst *tensor.Tensor, sigma float64) {
 	}
 }
 
-// readInto writes one readback of the array into dst (size Rows*Cols,
-// row-major): the cached effective weights, or — when the attached
-// fault injector fires a read-noise burst — freshly computed noisy
-// values that leave the cache untouched.
-func (c *Crossbar) readInto(dst *tensor.Tensor) error {
+// readBurst draws one readback-event decision from the injector.
+func (c *Crossbar) readBurst() (bool, float64) {
+	if c.inj == nil {
+		return false, 0
+	}
+	return c.inj.ReadBurst()
+}
+
+// ReadWeightsInto copies one readback of the weight matrix the array
+// actually implements into dst (size Rows*Cols, row-major) without
+// allocating. Stuck devices read at their pinned resistance, so the
+// readback is the fault-aware truth of what the hardware computes. With
+// a warm cache it is a single memcpy instead of a per-device
+// conductance inversion; when the attached fault injector fires a
+// read-noise burst, dst instead receives freshly computed noisy values
+// and the cache is left untouched. Returns ErrNotMapped before the
+// first MapWeights. This is the hot path of MappedNetwork.Refresh.
+func (c *Crossbar) ReadWeightsInto(dst *tensor.Tensor) error {
 	if !c.mapped {
 		return ErrNotMapped
 	}
@@ -106,22 +113,6 @@ func (c *Crossbar) readInto(dst *tensor.Tensor) error {
 	c.ensure()
 	copy(dst.Data(), c.eff.Data())
 	return nil
-}
-
-// readBurst draws one readback-event decision from the injector.
-func (c *Crossbar) readBurst() (bool, float64) {
-	if c.inj == nil {
-		return false, 0
-	}
-	return c.inj.ReadBurst()
-}
-
-// ReadWeightsInto copies one readback of the effective weight matrix
-// into dst without allocating (dst must hold Rows*Cols elements). This
-// is the hot path of MappedNetwork.Refresh: with a warm cache it is a
-// single memcpy instead of a per-device conductance inversion.
-func (c *Crossbar) ReadWeightsInto(dst *tensor.Tensor) error {
-	return c.readInto(dst)
 }
 
 // EffectiveWeightsNaive recomputes the effective weight matrix from
@@ -146,18 +137,4 @@ func (c *Crossbar) EffectiveWeightsNaive() (*tensor.Tensor, error) {
 		}
 	}
 	return out, nil
-}
-
-// VMMNaive computes the vector-matrix product through the naive read
-// path (full matrix recompute plus transpose per call) — the reference
-// oracle VMM is proven bit-identical against.
-func (c *Crossbar) VMMNaive(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if x.Size() != c.Rows {
-		return nil, fmt.Errorf("crossbar: VMM input size %d, want %d", x.Size(), c.Rows)
-	}
-	eff, err := c.EffectiveWeightsNaive()
-	if err != nil {
-		return nil, err
-	}
-	return tensor.MatVec(eff.Transpose(), x), nil
 }

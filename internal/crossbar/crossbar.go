@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"memlife/internal/aging"
 	"memlife/internal/device"
@@ -46,10 +45,9 @@ type Crossbar struct {
 	mapped     bool
 
 	// Cached read path (see cache.go): the materialized effective
-	// weight matrix, its transpose (row j = array column j, streamed by
-	// VMM), and whether they are current.
-	eff, effT *tensor.Tensor
-	effValid  bool
+	// weight matrix and whether it is current.
+	eff      *tensor.Tensor
+	effValid bool
 
 	// tel is the telemetry handle set (see telemetry.go); all-nil when
 	// telemetry is disabled, making every instrumented site a no-op.
@@ -74,10 +72,6 @@ type Crossbar struct {
 	bLo     []float64
 	bHi     []float64
 	bSeen   []uint32
-
-	// noisy is the crossbar-owned scratch burst-affected VMM reads
-	// materialize into (see hot.go).
-	noisy *tensor.Tensor
 }
 
 // New constructs a fresh crossbar.
@@ -270,65 +264,6 @@ func (c *Crossbar) MapWeights(w *tensor.Tensor, rLo, rHi float64) MapStats {
 	}
 	c.recordMapTel(stats, usable)
 	return stats
-}
-
-// EffectiveWeights reads back the weight matrix the array actually
-// implements, given its programmed resistances and the current mapping
-// ranges. Stuck devices read at their pinned resistance, so the
-// returned matrix is the fault-aware truth of what the hardware
-// computes. When a fault injector is attached, an occasional read-noise
-// burst perturbs the whole readback multiplicatively without touching
-// device state (or the read cache). Returns ErrNotMapped before the
-// first MapWeights. The returned tensor is the caller's to mutate; the
-// allocation-free variant is ReadWeightsInto.
-func (c *Crossbar) EffectiveWeights() (*tensor.Tensor, error) {
-	out := tensor.New(c.Rows, c.Cols)
-	if err := c.readInto(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// VMM computes the analog vector-matrix product the array performs for
-// one input vector x of length Rows: out_j = sum_i x_i * w_ij with the
-// *effective* (programmed, quantized, aged) weights, served from the
-// cached matrix (bit-identical to VMMNaive). It returns an error on an
-// input size mismatch or before the first MapWeights.
-func (c *Crossbar) VMM(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if c.tel.vmmNs != nil {
-		defer func(t0 time.Time) { c.tel.vmmNs.Observe(float64(time.Since(t0))) }(time.Now())
-	}
-	if x.Size() != c.Rows {
-		return nil, fmt.Errorf("crossbar: VMM input size %d, want %d", x.Size(), c.Rows)
-	}
-	if !c.mapped {
-		return nil, ErrNotMapped
-	}
-	out := tensor.New(c.Cols)
-	c.vmmCore(out, x)
-	return out, nil
-}
-
-// VMMBatch evaluates the array against a whole input batch x (shape
-// [B, Rows]) in one matrix-matrix product over a single materialized
-// readback: out[b][j] = sum_i x[b][i] * w_ij. The batch counts as ONE
-// readback — at most one read-noise burst is drawn for all B samples,
-// matching a pipelined analog read that latches the array state once.
-// workers > 1 opts into the deterministic row-parallel kernel (output
-// bits are identical for every worker count).
-func (c *Crossbar) VMMBatch(x *tensor.Tensor, workers int) (*tensor.Tensor, error) {
-	if c.tel.vmmBatchNs != nil {
-		defer func(t0 time.Time) { c.tel.vmmBatchNs.Observe(float64(time.Since(t0))) }(time.Now())
-	}
-	if x.Rank() != 2 || x.Dim(1) != c.Rows {
-		return nil, fmt.Errorf("crossbar: VMMBatch input shape %v, want [B %d]", x.Shape(), c.Rows)
-	}
-	if !c.mapped {
-		return nil, ErrNotMapped
-	}
-	out := tensor.New(x.Dim(0), c.Cols)
-	c.vmmBatchCore(out, x, workers)
-	return out, nil
 }
 
 // StepDevice applies one online-tuning pulse to device (i, j): dir > 0
@@ -538,18 +473,6 @@ func (c *Crossbar) TracedLowerBounds() []float64 {
 		out = append(out, lo)
 	}
 	sort.Float64s(out)
-	return out
-}
-
-// QuantizeWeights returns the hypothetical effective weights of mapping
-// w onto the level grid restricted to the common range [rLo, rHi],
-// assuming every device can reach its target (no per-device aging
-// clipping). This is the software-side simulation the aging-aware range
-// selection uses to score candidate ranges *before* committing any
-// programming pulses.
-func (c *Crossbar) QuantizeWeights(w *tensor.Tensor, rLo, rHi float64) *tensor.Tensor {
-	out := tensor.New(w.Shape()...)
-	c.QuantizeWeightsInto(out, w, rLo, rHi)
 	return out
 }
 

@@ -108,20 +108,6 @@ func (d *DifferentialCrossbar) EffectiveWeights() (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// VMM computes the differential analog product: the Pos column currents
-// minus the Neg column currents, scaled back to weight units. It
-// returns an error on an input size mismatch or before MapWeights.
-func (d *DifferentialCrossbar) VMM(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if x.Size() != d.Pos.Rows {
-		return nil, fmt.Errorf("crossbar: differential VMM input size %d, want %d", x.Size(), d.Pos.Rows)
-	}
-	eff, err := d.EffectiveWeights()
-	if err != nil {
-		return nil, err
-	}
-	return tensor.MatVec(eff.Transpose(), x), nil
-}
-
 // TotalStress sums the accumulated stress over both halves.
 func (d *DifferentialCrossbar) TotalStress() float64 {
 	return d.Pos.TotalStress() + d.Neg.TotalStress()

@@ -28,7 +28,7 @@ func TestDifferentialRoundTrip(t *testing.T) {
 	if stats.Clipped != 0 {
 		t.Fatal("fresh differential mapping must not clip")
 	}
-	eff := mustEff(t, d)
+	eff := mustDiffEff(t, d)
 	// Quantization error bound: one conductance gap at the dense end,
 	// converted to weight units via the scale.
 	p := device.Params32()
@@ -66,28 +66,10 @@ func TestDifferentialZeroWeightsRestAtGmin(t *testing.T) {
 	if rel := d.MeanRelConductance(); rel > 1e-9 {
 		t.Fatalf("zero weights must leave all devices at gMin, got rel conductance %g", rel)
 	}
-	eff := mustEff(t, d)
+	eff := mustDiffEff(t, d)
 	for _, v := range eff.Data() {
 		if v != 0 {
 			t.Fatalf("zero weights must read back zero, got %v", eff.Data())
-		}
-	}
-}
-
-func TestDifferentialVMMMatchesEffective(t *testing.T) {
-	d := newDiff(t, 3, 2)
-	w := tensor.FromSlice([]float64{0.3, -0.2, 0.1, 0.5, -0.4, 0.0}, 3, 2)
-	d.MapWeights(w)
-	x := tensor.FromSlice([]float64{1, -2, 3}, 3)
-	out := mustVMM(t, d, x)
-	eff := mustEff(t, d)
-	for j := 0; j < 2; j++ {
-		want := 0.0
-		for i := 0; i < 3; i++ {
-			want += x.Data()[i] * eff.At(i, j)
-		}
-		if math.Abs(out.Data()[j]-want) > 1e-12 {
-			t.Fatalf("differential VMM column %d = %g, want %g", j, out.Data()[j], want)
 		}
 	}
 }
@@ -139,7 +121,7 @@ func TestDifferentialStressAccounting(t *testing.T) {
 		t.Fatalf("stress accounting: %g vs %g", stats.Stress, d.TotalStress())
 	}
 	d.Drift(0.05, rng)
-	eff := mustEff(t, d)
+	eff := mustDiffEff(t, d)
 	for _, v := range eff.Data() {
 		if math.IsNaN(v) {
 			t.Fatal("drifted differential weights must stay finite")
@@ -151,8 +133,5 @@ func TestDifferentialBeforeMapReturnsError(t *testing.T) {
 	d := newDiff(t, 2, 2)
 	if _, err := d.EffectiveWeights(); !errors.Is(err, ErrNotMapped) {
 		t.Fatalf("EffectiveWeights before mapping: err = %v, want ErrNotMapped", err)
-	}
-	if _, err := d.VMM(tensor.New(2)); !errors.Is(err, ErrNotMapped) {
-		t.Fatalf("VMM before mapping: err = %v, want ErrNotMapped", err)
 	}
 }

@@ -2,10 +2,8 @@ package crossbar
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
-	"memlife/internal/aging"
 	"memlife/internal/device"
 	"memlife/internal/fault"
 	"memlife/internal/tensor"
@@ -181,104 +179,4 @@ func (c *Crossbar) MapWeightsFaultAware(w *tensor.Tensor, rLo, rHi float64) MapS
 	}
 	c.recordMapTel(stats, usable)
 	return stats
-}
-
-// CampaignPoint is one stuck-rate operating point of a FaultCampaign:
-// the realized fault population and the weight-representation error of
-// a plain (fault-unaware) mapping versus the fault-aware mapping of
-// the same matrix under the same faults.
-type CampaignPoint struct {
-	StuckRate          float64
-	StuckLRS, StuckHRS int
-	// PlainRMSE / AwareRMSE are the root-mean-square differences
-	// between the target weights and the effective weights realized by
-	// MapWeights / MapWeightsFaultAware. Note that column-current
-	// compensation deliberately perturbs healthy weights, so the aware
-	// elementwise RMSE can sit slightly ABOVE the plain one — that is
-	// the cost side of the trade.
-	PlainRMSE, AwareRMSE float64
-	// PlainColErr / AwareColErr are the root-mean-square per-column
-	// current errors (the column sums of effective minus target
-	// weights — exactly what a VMM output sees under uniform inputs,
-	// and what the compensation targets). This is the benefit side:
-	// AwareColErr should sit well below PlainColErr once devices
-	// stick.
-	PlainColErr, AwareColErr float64
-	// PlainStuckWrites counts write attempts the fault-unaware mapping
-	// wasted on stuck devices.
-	PlainStuckWrites int
-}
-
-// FaultCampaign sweeps stuck-device rates over fresh arrays carrying
-// the weight matrix w: for each rate it injects the (nested,
-// deterministic) stuck population, maps w once fault-unaware and once
-// fault-aware onto identically faulted arrays, and reports the fault
-// census plus both weight-representation errors. Read bursts are
-// disabled during the campaign readback so the numbers measure mapping
-// quality, not read noise.
-func FaultCampaign(w *tensor.Tensor, p device.Params, m aging.Model, tempK float64, cfg fault.Config, rates []float64) ([]CampaignPoint, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	rows, cols := w.Dim(0), w.Dim(1)
-	out := make([]CampaignPoint, 0, len(rates))
-	for _, rate := range rates {
-		pointCfg := cfg
-		pointCfg.StuckRate = rate
-		pointCfg.ReadBurstProb = 0
-		pointCfg.TransientProb = 0
-
-		rmse := func(aware bool) (float64, float64, CampaignPoint, error) {
-			cb, err := New(rows, cols, p, m, tempK)
-			if err != nil {
-				return 0, 0, CampaignPoint{}, err
-			}
-			inj, err := fault.NewInjector(pointCfg, rows*cols, 0)
-			if err != nil {
-				return 0, 0, CampaignPoint{}, err
-			}
-			if err := cb.SetFaultInjector(inj); err != nil {
-				return 0, 0, CampaignPoint{}, err
-			}
-			var stats MapStats
-			if aware {
-				stats = cb.MapWeightsFaultAware(w, p.RminFresh, p.RmaxFresh)
-			} else {
-				stats = cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
-			}
-			eff, err := cb.EffectiveWeights()
-			if err != nil {
-				return 0, 0, CampaignPoint{}, err
-			}
-			sum := 0.0
-			colErr := make([]float64, cols)
-			for i, v := range eff.Data() {
-				d := v - w.Data()[i]
-				sum += d * d
-				colErr[i%cols] += d
-			}
-			colSum := 0.0
-			for _, e := range colErr {
-				colSum += e * e
-			}
-			pt := CampaignPoint{StuckRate: rate, PlainStuckWrites: stats.Stuck}
-			pt.StuckLRS, pt.StuckHRS = cb.StuckCounts()
-			elemRMSE := math.Sqrt(sum / float64(len(eff.Data())))
-			colRMSE := math.Sqrt(colSum / float64(cols))
-			return elemRMSE, colRMSE, pt, nil
-		}
-
-		plain, plainCol, pt, err := rmse(false)
-		if err != nil {
-			return nil, err
-		}
-		awareRMSE, awareCol, _, err := rmse(true)
-		if err != nil {
-			return nil, err
-		}
-		pt.PlainRMSE, pt.AwareRMSE = plain, awareRMSE
-		pt.PlainColErr, pt.AwareColErr = plainCol, awareCol
-		out = append(out, pt)
-	}
-	return out, nil
 }

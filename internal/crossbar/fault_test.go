@@ -113,51 +113,93 @@ func TestStuckDeviceIgnoresProgramming(t *testing.T) {
 }
 
 // TestFaultAwareMappingCompensates: with stuck devices present, the
-// fault-aware mapping must realize the column currents (what a VMM
-// output actually sees) with lower error than the plain mapping, waste
-// no writes on stuck cells, and degrade to identical behavior on a
-// clean array. Elementwise RMSE is allowed to be slightly worse — the
-// compensation deliberately perturbs healthy weights to fix the column
-// sums.
+// fault-aware mapping must realize the column currents (what a column
+// output sums under uniform inputs) with lower error than the plain
+// mapping, waste no writes on stuck cells, and degrade to identical
+// behavior on a clean array. Elementwise error is allowed to be
+// slightly worse — the compensation deliberately perturbs healthy
+// weights to fix the column sums.
 func TestFaultAwareMappingCompensates(t *testing.T) {
+	const rows, cols = 24, 16
 	rng := tensor.NewRNG(5)
-	w := tensor.New(24, 16)
+	w := tensor.New(rows, cols)
 	for i := range w.Data() {
 		w.Data()[i] = rng.Normal(0, 0.3)
 	}
-	pts, err := FaultCampaign(w, device.Params32(), aging.DefaultModel(), 300,
-		fault.Config{LRSFrac: 0.5, Seed: 2}, []float64{0, 0.05, 0.15})
-	if err != nil {
-		t.Fatal(err)
+	p := device.Params32()
+
+	// mapped is one mapping of w onto a fresh array carrying the stuck
+	// population of a given rate (nested across rates; no read bursts or
+	// transient failures, so the readback measures mapping quality).
+	type mapped struct {
+		eff         *tensor.Tensor
+		colErr      float64 // RMS over columns of sum_i (eff - w)
+		stuck       int     // stuck devices in the array
+		stuckWrites int     // write attempts that hit stuck devices
 	}
-	if len(pts) != 3 {
-		t.Fatalf("campaign points = %d, want 3", len(pts))
-	}
-	clean := pts[0]
-	if clean.StuckLRS+clean.StuckHRS != 0 {
-		t.Fatal("rate 0 must have no stuck devices")
-	}
-	if math.Abs(clean.PlainRMSE-clean.AwareRMSE) > 1e-12 ||
-		math.Abs(clean.PlainColErr-clean.AwareColErr) > 1e-12 {
-		t.Fatalf("on a clean array both mappings must agree: plain %g/%g vs aware %g/%g",
-			clean.PlainRMSE, clean.PlainColErr, clean.AwareRMSE, clean.AwareColErr)
-	}
-	for _, pt := range pts[1:] {
-		if pt.StuckLRS+pt.StuckHRS == 0 {
-			t.Fatalf("rate %g produced no stuck devices", pt.StuckRate)
+	mapAt := func(rate float64, aware bool) mapped {
+		t.Helper()
+		cb, err := New(rows, cols, p, aging.DefaultModel(), 300)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pt.AwareColErr >= pt.PlainColErr {
-			t.Fatalf("rate %g: fault-aware column error %g must beat plain %g",
-				pt.StuckRate, pt.AwareColErr, pt.PlainColErr)
+		inj, err := fault.NewInjector(fault.Config{StuckRate: rate, LRSFrac: 0.5, Seed: 2}, rows*cols, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pt.PlainStuckWrites == 0 {
-			t.Fatalf("rate %g: plain mapping must have wasted writes on stuck cells", pt.StuckRate)
+		if err := cb.SetFaultInjector(inj); err != nil {
+			t.Fatal(err)
 		}
+		var stats MapStats
+		if aware {
+			stats = cb.MapWeightsFaultAware(w, p.RminFresh, p.RmaxFresh)
+		} else {
+			stats = cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
+		}
+		eff := mustEff(t, cb)
+		colErr := make([]float64, cols)
+		for i, v := range eff.Data() {
+			colErr[i%cols] += v - w.Data()[i]
+		}
+		sum := 0.0
+		for _, e := range colErr {
+			sum += e * e
+		}
+		lrs, hrs := cb.StuckCounts()
+		return mapped{eff: eff, colErr: math.Sqrt(sum / cols), stuck: lrs + hrs, stuckWrites: stats.Stuck}
 	}
-	// Uncompensated column error grows with defect density.
-	if pts[2].PlainColErr <= clean.PlainColErr {
-		t.Fatalf("plain column error must grow with faults: %g vs clean %g",
-			pts[2].PlainColErr, clean.PlainColErr)
+
+	var prevPlainColErr float64
+	for k, rate := range []float64{0, 0.05, 0.15} {
+		plain, aware := mapAt(rate, false), mapAt(rate, true)
+		if k == 0 {
+			if plain.stuck != 0 {
+				t.Fatal("rate 0 must have no stuck devices")
+			}
+			for i, v := range plain.eff.Data() {
+				if aware.eff.Data()[i] != v {
+					t.Fatalf("on a clean array both mappings must read the same: cell %d plain %v, aware %v",
+						i, v, aware.eff.Data()[i])
+				}
+			}
+		} else {
+			if plain.stuck == 0 {
+				t.Fatalf("rate %g produced no stuck devices", rate)
+			}
+			if aware.colErr >= plain.colErr {
+				t.Fatalf("rate %g: fault-aware column error %g must beat plain %g",
+					rate, aware.colErr, plain.colErr)
+			}
+			if plain.stuckWrites == 0 {
+				t.Fatalf("rate %g: plain mapping must have wasted writes on stuck cells", rate)
+			}
+			// Uncompensated column error grows with defect density.
+			if plain.colErr <= prevPlainColErr {
+				t.Fatalf("rate %g: plain column error %g must grow with faults (previous rate: %g)",
+					rate, plain.colErr, prevPlainColErr)
+			}
+		}
+		prevPlainColErr = plain.colErr
 	}
 }
 

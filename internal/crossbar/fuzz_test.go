@@ -88,8 +88,7 @@ func FuzzCacheInvalidation(f *testing.F) {
 
 		w := tensor.New(rows, cols)
 		ops.FillNormal(w, 0, 0.5)
-		x := tensor.New(rows)
-		ops.FillNormal(x, 0, 1)
+		skipVector(ops, rows)
 		rLo, rHi := params.RminFresh, params.RmaxFresh
 
 		p.cached.MapWeights(w, rLo, rHi)
@@ -121,8 +120,8 @@ func FuzzCacheInvalidation(f *testing.F) {
 				p.cached.MapWeightsFaultAware(w, rLo, rHi)
 				p.naive.MapWeightsFaultAware(w, rLo, rHi)
 			}
-			eff, err := p.cached.EffectiveWeights()
-			if err != nil {
+			eff := tensor.New(rows, cols)
+			if err := p.cached.ReadWeightsInto(eff); err != nil {
 				t.Fatalf("step %d: cached read: %v", step, err)
 			}
 			effN, err := p.naive.EffectiveWeightsNaive()
@@ -132,19 +131,6 @@ func FuzzCacheInvalidation(f *testing.F) {
 			for i, v := range effN.Data() {
 				if eff.Data()[i] != v {
 					t.Fatalf("step %d (op %d): cell %d differs: cached %v, naive %v", step, op%6, i, eff.Data()[i], v)
-				}
-			}
-			out, err := p.cached.VMM(x)
-			if err != nil {
-				t.Fatalf("step %d: cached VMM: %v", step, err)
-			}
-			outN, err := p.naive.VMMNaive(x)
-			if err != nil {
-				t.Fatalf("step %d: naive VMM: %v", step, err)
-			}
-			for j, v := range outN.Data() {
-				if out.Data()[j] != v {
-					t.Fatalf("step %d: VMM output %d differs: %v vs %v", step, j, out.Data()[j], v)
 				}
 			}
 		}

@@ -6,31 +6,32 @@ import (
 	"memlife/internal/tensor"
 )
 
-// effReader is satisfied by both Crossbar and DifferentialCrossbar.
-type effReader interface {
-	EffectiveWeights() (*tensor.Tensor, error)
-	VMM(x *tensor.Tensor) (*tensor.Tensor, error)
+// mustEff reads the array once into a fresh tensor through
+// ReadWeightsInto, failing the test on error.
+func mustEff(t testing.TB, cb *Crossbar) *tensor.Tensor {
+	t.Helper()
+	eff := tensor.New(cb.Rows, cb.Cols)
+	if err := cb.ReadWeightsInto(eff); err != nil {
+		t.Fatalf("ReadWeightsInto: %v", err)
+	}
+	return eff
 }
 
-// mustEff reads the effective weights, failing the test on error.
-func mustEff(t testing.TB, cb effReader) *tensor.Tensor {
+// mustDiffEff reads back a differential pair, failing the test on error.
+func mustDiffEff(t testing.TB, d *DifferentialCrossbar) *tensor.Tensor {
 	t.Helper()
-	eff, err := cb.EffectiveWeights()
+	eff, err := d.EffectiveWeights()
 	if err != nil {
 		t.Fatalf("EffectiveWeights: %v", err)
 	}
 	return eff
 }
 
-// mustVMM computes the vector-matrix product, failing the test on error.
-func mustVMM(t testing.TB, cb effReader, x *tensor.Tensor) *tensor.Tensor {
-	t.Helper()
-	out, err := cb.VMM(x)
-	if err != nil {
-		t.Fatalf("VMM: %v", err)
-	}
-	return out
-}
+// skipVector consumes the draws of one n-element normal vector from
+// rng. The seeded mutation-script tests take these draws from their op
+// stream before the script starts, which fixes the operation sequence
+// each seed runs.
+func skipVector(rng *tensor.RNG, n int) { rng.FillNormal(tensor.New(n), 0, 1) }
 
 // mustAcc evaluates the mapped network, failing the test on error.
 func mustAcc(t testing.TB, mn *MappedNetwork, x *tensor.Tensor, y []int) float64 {

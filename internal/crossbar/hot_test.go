@@ -11,16 +11,17 @@ import (
 )
 
 // Oracle-equivalence and allocation tests for the zero-alloc hot path
-// (hot.go): the ...Into kernels against the naive oracles, the
+// (hot.go, cache.go): ReadWeightsInto against the naive oracle, the
 // flat-walk mapping against a per-cell reimplementation of the original
 // algorithm, and StepDevices against the sequential StepDevice retry
 // loop — all compared with == across fault, aging, and temperature
 // configurations.
 
-// TestVMMIntoMatchesOracle drives a cached/naive pair through the
-// mutation script and compares VMMInto (into a reused destination)
-// against VMMNaive at every step, across temperatures and aging.
-func TestVMMIntoMatchesOracle(t *testing.T) {
+// TestReadWeightsIntoMatchesOracle drives a cached/naive pair through
+// the mutation script and compares ReadWeightsInto (into a reused
+// destination) against EffectiveWeightsNaive at every step, across
+// temperatures and aging.
+func TestReadWeightsIntoMatchesOracle(t *testing.T) {
 	for _, faults := range []bool{false, true} {
 		t.Run(fmt.Sprintf("faults=%v", faults), func(t *testing.T) {
 			const rows, cols = 9, 7
@@ -30,25 +31,24 @@ func TestVMMIntoMatchesOracle(t *testing.T) {
 
 			w := tensor.New(rows, cols)
 			ops.FillNormal(w, 0, 0.5)
-			x := tensor.New(rows)
-			ops.FillNormal(x, 0, 1)
-			dst := tensor.New(cols)
+			skipVector(ops, rows)
+			dst := tensor.New(rows, cols)
 
 			p.cached.MapWeights(w, params.RminFresh, params.RmaxFresh)
 			p.naive.MapWeights(w, params.RminFresh, params.RmaxFresh)
 
 			check := func(step string) {
 				t.Helper()
-				if err := p.cached.VMMInto(dst, x); err != nil {
-					t.Fatalf("%s: VMMInto: %v", step, err)
+				if err := p.cached.ReadWeightsInto(dst); err != nil {
+					t.Fatalf("%s: ReadWeightsInto: %v", step, err)
 				}
-				want, err := p.naive.VMMNaive(x)
+				want, err := p.naive.EffectiveWeightsNaive()
 				if err != nil {
-					t.Fatalf("%s: VMMNaive: %v", step, err)
+					t.Fatalf("%s: EffectiveWeightsNaive: %v", step, err)
 				}
-				for j, v := range want.Data() {
-					if dst.Data()[j] != v {
-						t.Fatalf("%s: output %d differs: into %v, naive %v", step, j, dst.Data()[j], v)
+				for i, v := range want.Data() {
+					if dst.Data()[i] != v {
+						t.Fatalf("%s: cell %d differs: into %v, naive %v", step, i, dst.Data()[i], v)
 					}
 				}
 			}
@@ -88,51 +88,6 @@ func TestVMMIntoMatchesOracle(t *testing.T) {
 				check(label)
 			}
 		})
-	}
-}
-
-// TestVMMBatchIntoMatchesOracle pins VMMBatchInto (reused destination)
-// against a single naive readback multiplied through, for worker counts
-// 1, 2, and 8.
-func TestVMMBatchIntoMatchesOracle(t *testing.T) {
-	for _, faults := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("faults=%v/workers=%d", faults, workers), func(t *testing.T) {
-				const rows, cols, batch = 11, 6, 17
-				p := newEquivPair(t, rows, cols, faults, 505)
-				params := p.cached.Params()
-				ops := tensor.NewRNG(6)
-
-				w := tensor.New(rows, cols)
-				ops.FillNormal(w, 0, 0.4)
-				p.cached.MapWeights(w, params.RminFresh, params.RmaxFresh)
-				p.naive.MapWeights(w, params.RminFresh, params.RmaxFresh)
-
-				xb := tensor.New(batch, rows)
-				ops.FillNormal(xb, 0, 1)
-				dst := tensor.New(batch, cols)
-
-				for rep := 0; rep < 8; rep++ {
-					if rep%2 == 1 {
-						p.cached.Drift(0.03, p.rngC)
-						p.naive.Drift(0.03, p.rngN)
-					}
-					if err := p.cached.VMMBatchInto(dst, xb, workers); err != nil {
-						t.Fatal(err)
-					}
-					effN, err := p.naive.EffectiveWeightsNaive()
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := tensor.MatMul(xb, effN)
-					for i, v := range want.Data() {
-						if dst.Data()[i] != v {
-							t.Fatalf("rep %d: batch output %d differs: %v vs %v", rep, i, dst.Data()[i], v)
-						}
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -333,13 +288,6 @@ func TestQuantizeWeightsIntoMatchesDirect(t *testing.T) {
 				t.Fatalf("range [%g,%g], element %d: got %v, want %v", rLo, rHi, i, dst.Data()[i], want)
 			}
 		}
-		// The allocating wrapper returns the same values.
-		out := cb.QuantizeWeights(w, rLo, rHi)
-		for i, v := range out.Data() {
-			if dst.Data()[i] != v {
-				t.Fatalf("range [%g,%g]: wrapper diverges at %d", rLo, rHi, i)
-			}
-		}
 	}
 }
 
@@ -395,19 +343,14 @@ func TestStepDevicesMatchesStepDeviceLoop(t *testing.T) {
 			}
 			// Device state and remaining injector streams must agree: one
 			// readback each through their respective paths.
-			x := tensor.New(rows)
-			tensor.NewRNG(11).FillNormal(x, 0, 1)
-			out, err := p.cached.VMM(x)
+			out := mustEff(t, p.cached)
+			outN, err := p.naive.EffectiveWeightsNaive()
 			if err != nil {
 				t.Fatal(err)
 			}
-			outN, err := p.naive.VMMNaive(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j, v := range outN.Data() {
-				if out.Data()[j] != v {
-					t.Fatalf("post-step VMM output %d differs: %v vs %v", j, out.Data()[j], v)
+			for i, v := range outN.Data() {
+				if out.Data()[i] != v {
+					t.Fatalf("post-step readback cell %d differs: %v vs %v", i, out.Data()[i], v)
 				}
 			}
 		})
@@ -415,26 +358,21 @@ func TestStepDevicesMatchesStepDeviceLoop(t *testing.T) {
 }
 
 // TestHotPathZeroAlloc pins the steady-state allocation contract of
-// every ...Into kernel plus MapWeights and StepDevices: after one
+// ReadWeightsInto, QuantizeWeightsInto, MapWeights and StepDevices:
+// after one
 // warming call, zero heap allocations per operation. Skipped under the
 // race detector (instrumentation allocates).
 func TestHotPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
-	const rows, cols, batch = 16, 12, 8
+	const rows, cols = 16, 12
 	cb := newTestCrossbar(t, rows, cols)
 	params := cb.Params()
 	w := tensor.New(rows, cols)
 	tensor.NewRNG(5).FillNormal(w, 0, 0.5)
 	cb.MapWeights(w, params.RminFresh, params.RmaxFresh)
 
-	x := tensor.New(rows)
-	tensor.NewRNG(6).FillNormal(x, 0, 1)
-	xb := tensor.New(batch, rows)
-	tensor.NewRNG(7).FillNormal(xb, 0, 1)
-	dst := tensor.New(cols)
-	dstB := tensor.New(batch, cols)
 	dstW := tensor.New(rows, cols)
 	steps := []Step{{I: 1, J: 2, Dir: 1}, {I: 3, J: 4, Dir: -1}, {I: 5, J: 1, Dir: 1}}
 
@@ -445,16 +383,6 @@ func TestHotPathZeroAlloc(t *testing.T) {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
 	}
-	assertZero("VMMInto", func() {
-		if err := cb.VMMInto(dst, x); err != nil {
-			t.Fatal(err)
-		}
-	})
-	assertZero("VMMBatchInto/serial", func() {
-		if err := cb.VMMBatchInto(dstB, xb, 0); err != nil {
-			t.Fatal(err)
-		}
-	})
 	assertZero("ReadWeightsInto", func() {
 		if err := cb.ReadWeightsInto(dstW); err != nil {
 			t.Fatal(err)
@@ -464,8 +392,9 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	assertZero("MapWeights", func() { cb.MapWeights(w, params.RminFresh, params.RmaxFresh) })
 	assertZero("QuantizeWeightsInto", func() { cb.QuantizeWeightsInto(dstW, w, params.RminFresh, params.RmaxFresh) })
 
-	// The burst read path reuses the crossbar-owned noisy scratch: with
-	// an always-bursting injector, still zero allocations once warm.
+	// The burst read path writes its noisy values straight into the
+	// caller's destination: with an always-bursting injector, still zero
+	// allocations once warm.
 	inj, err := fault.NewInjector(fault.Config{ReadBurstProb: 0.99, ReadBurstSigma: 0.05, Seed: 9}, rows*cols, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -473,8 +402,8 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	if err := cb.SetFaultInjector(inj); err != nil {
 		t.Fatal(err)
 	}
-	assertZero("VMMInto/burst", func() {
-		if err := cb.VMMInto(dst, x); err != nil {
+	assertZero("ReadWeightsInto/burst", func() {
+		if err := cb.ReadWeightsInto(dstW); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -32,10 +32,6 @@ type crossbarTel struct {
 	invalFaults *telemetry.Counter
 	invalDevice *telemetry.Counter
 
-	// Read kernel latencies (wall clock).
-	vmmNs      *telemetry.Histogram
-	vmmBatchNs *telemetry.Histogram
-
 	// Device wear, aggregated over the devices this crossbar drives.
 	pulses *telemetry.Counter // programming pulses applied (incl. failed)
 	stress *telemetry.Gauge   // accumulated normalized stress (monotone)
@@ -65,8 +61,6 @@ func newCrossbarTel() crossbarTel {
 		invalTemp:   r.Counter("crossbar/invalidations/tempk"),
 		invalFaults: r.Counter("crossbar/invalidations/faults"),
 		invalDevice: r.Counter("crossbar/invalidations/device_escape"),
-		vmmNs:       r.Histogram("crossbar/vmm_ns", telemetry.NsBounds()),
-		vmmBatchNs:  r.Histogram("crossbar/vmmbatch_ns", telemetry.NsBounds()),
 		pulses:      r.Counter("device/pulses_total"),
 		stress:      r.Gauge("device/stress_total"),
 		usableMean:  r.Gauge("device/usable_levels_mean"),

@@ -33,12 +33,9 @@ func TestTelemetryCacheAndInvalidationCounters(t *testing.T) {
 	w := testWeights(6, 5, 3)
 	cb.MapWeights(w, cb.params.RminFresh, cb.params.RmaxFresh)
 
-	x := tensor.New(6)
-	for i := 0; i < 6; i++ {
-		x.Data()[i] = float64(i)
-	}
+	dst := tensor.New(6, 5)
 	for k := 0; k < 3; k++ {
-		if _, err := cb.VMM(x); err != nil {
+		if err := cb.ReadWeightsInto(dst); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,15 +125,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 		cb.Drift(0.02, rng)
 		cb.StepDevice(1, 2, +1)
 		cb.StepDevice(3, 4, -1)
-		x := tensor.New(6)
-		for i := range x.Data() {
-			x.Data()[i] = float64(i) - 2.5
-		}
-		out, err := cb.VMM(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append([]float64(nil), out.Data()...)
+		return mustEff(t, cb).Data()
 	}
 
 	telemetry.SetGlobal(nil)

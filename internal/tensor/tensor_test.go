@@ -250,15 +250,6 @@ func TestMatMulDimensionMismatchPanics(t *testing.T) {
 	MatMul(New(2, 3), New(2, 2))
 }
 
-func TestMatVec(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	x := FromSlice([]float64{5, 6}, 2)
-	y := MatVec(a, x)
-	if y.Data()[0] != 17 || y.Data()[1] != 39 {
-		t.Fatalf("MatVec = %v", y.Data())
-	}
-}
-
 // TestMatMulTransposedVariantsAgree checks the AT/BT kernels against
 // explicit transposes, property-style over random shapes.
 func TestMatMulTransposedVariantsAgree(t *testing.T) {
