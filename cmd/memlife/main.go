@@ -124,6 +124,7 @@ type cliConfig struct {
 	benchBaseline string
 	benchTol      float64
 	cpuProfile    string
+	memProfile    string
 
 	// overrides carries the explicitly set CLI flags into stage 3 of
 	// the spec resolution chain (spec.Overrides); flags left at their
@@ -178,7 +179,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&c.benchOut, "bench-out", "", "bench: write the canonical JSON report to this file (default stdout)")
 	fs.StringVar(&c.benchBaseline, "bench-baseline", "", "bench: compare against this committed baseline report and fail on regression")
 	fs.Float64Var(&c.benchTol, "bench-tol", 4, "bench: allowed ns/op growth factor over the baseline (4 = up to 5x slower; generous because baselines cross machines)")
-	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "bench: write a CPU profile of the kernel runs to this file (pprof format)")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run (any mode) to this file (pprof format)")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file when the run ends (pprof format)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -222,11 +224,64 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if code != 0 {
 		return code
 	}
-	code = dispatch(ctx, c, fs, stdout, stderr)
+	code = profiled(c, stderr, func() int { return dispatch(ctx, c, fs, stdout, stderr) })
 	if tcode := tel.finish(stderr); code == 0 {
 		code = tcode
 	}
 	return code
+}
+
+// profiled runs the selected mode under the -cpuprofile CPU profiler,
+// whatever the mode, and then writes the -memprofile heap profile. A
+// profile that cannot be written turns a successful exit into 1.
+func profiled(c cliConfig, stderr io.Writer, run func() int) (code int) {
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(stderr, "memlife: "+format+"\n", args...)
+		if code == 0 {
+			code = 1
+		}
+	}
+	if c.memProfile != "" {
+		defer func() {
+			if err := writeHeapProfile(c.memProfile); err != nil {
+				fail("writing heap profile: %v", err)
+			}
+		}()
+	}
+	if c.cpuProfile != "" {
+		f, err := os.Create(c.cpuProfile)
+		if err != nil {
+			fail("%v", err)
+			return code
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fail("starting CPU profile: %v", err)
+			return code
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fail("closing CPU profile: %v", err)
+			}
+		}()
+	}
+	return run()
+}
+
+// writeHeapProfile writes a heap profile to path after a GC, so it
+// shows the memory still live at the end of the run.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // dispatch routes the parsed invocation to its mode.
@@ -325,24 +380,6 @@ func runScenario(ctx context.Context, c cliConfig, stdout, stderr io.Writer) int
 // ships the evidence needed to see where the regression lives (CI
 // uploads the profile as an artifact on failure). See internal/bench.
 func runBench(c cliConfig, stdout, stderr io.Writer) int {
-	if c.cpuProfile != "" {
-		f, err := os.Create(c.cpuProfile)
-		if err != nil {
-			fmt.Fprintf(stderr, "memlife: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			fmt.Fprintf(stderr, "memlife: starting CPU profile: %v\n", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(stderr, "memlife: closing CPU profile: %v\n", err)
-			}
-		}()
-	}
 	rep, err := bench.RunAll(time.Now().Format("2006-01-02"))
 	if err != nil {
 		fmt.Fprintf(stderr, "memlife: %v\n", err)

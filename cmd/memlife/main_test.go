@@ -28,6 +28,7 @@ func TestRunCLIErrors(t *testing.T) {
 		{"resume without journal", []string{"-run", "fig4", "-resume"}, 2, "-resume needs -checkpoint or -json"},
 		{"campaign of metricless experiment", []string{"-run", "fig3", "-seeds", "2"}, 1, ""},
 		{"campaign of unknown experiment", []string{"-run", "nope", "-seeds", "2"}, 1, `unknown experiment "nope"`},
+		{"unwritable cpuprofile", []string{"-run", "fig4", "-fast", "-cpuprofile", filepath.Join("no-such-dir", "cpu.pprof")}, 1, "no-such-dir"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -283,6 +284,29 @@ func TestExampleScenariosResolve(t *testing.T) {
 		out := dumpSpec(t, "-scenario", f)
 		if !strings.Contains(out, `"version": 1`) {
 			t.Fatalf("%s: resolved dump looks wrong:\n%s", f, out)
+		}
+	}
+}
+
+// TestCLIProfilesAnyMode checks that -cpuprofile and -memprofile work
+// outside -bench: an experiment run writes both profiles, each a
+// non-empty gzip-framed pprof file.
+func TestCLIProfilesAnyMode(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.pprof")
+	mem := filepath.Join(dir, "mem.pprof")
+	var stdout, stderr strings.Builder
+	args := []string{"-run", "fig4", "-fast", "-cpuprofile", cpu, "-memprofile", mem}
+	if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run exited %d: %s", code, stderr.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Fatalf("%s is not a gzip-framed pprof profile (%d bytes)", filepath.Base(path), len(b))
 		}
 	}
 }

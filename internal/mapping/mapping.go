@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"memlife/internal/crossbar"
+	"memlife/internal/nn"
 	"memlife/internal/tensor"
 )
 
@@ -237,6 +238,15 @@ func selectRange(mn *crossbar.MappedNetwork, i int, cfg Config, evalX *tensor.Te
 		}
 		sort.Float64s(snapped)
 		candidates := candidateBounds(snapped, cfg.MaxCandidates)
+		// A candidate changes only this layer's weights, so the layer's
+		// input (the output of the layers before it, which hold their
+		// committed weights) is computed once; each candidate runs only
+		// the layers from this one on.
+		from, err := hostLayer(mn.Net, l.Param)
+		if err != nil {
+			return sel, err
+		}
+		h := mn.Net.ForwardRange(evalX, 0, from, false)
 		// Evaluate widest-first so ties keep the widest range (more
 		// levels, lower currents).
 		bestAcc := -1.0
@@ -244,7 +254,7 @@ func selectRange(mn *crossbar.MappedNetwork, i int, cfg Config, evalX *tensor.Te
 		for i := len(candidates) - 1; i >= 0; i-- {
 			hi := candidates[i]
 			l.Crossbar.QuantizeWeightsInto(l.Param.W, l.Target, rLo, hi)
-			acc := mn.Net.Accuracy(evalX, evalY)
+			acc := mn.Net.AccuracyFrom(h, from, evalY)
 			sel.Candidates = append(sel.Candidates, CandidateScore{RHi: hi, Accuracy: acc})
 			if acc > bestAcc {
 				bestAcc = acc
@@ -260,6 +270,18 @@ func selectRange(mn *crossbar.MappedNetwork, i int, cfg Config, evalX *tensor.Te
 	default:
 		return LayerSelection{}, fmt.Errorf("unknown policy %v", cfg.Policy)
 	}
+}
+
+// hostLayer returns the index in net.Layers of the layer that owns p.
+func hostLayer(net *nn.Network, p *nn.Param) (int, error) {
+	for i, l := range net.Layers {
+		for _, q := range l.Params() {
+			if q == p {
+				return i, nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("parameter %s is not in network %s", p.Name, net.Name)
 }
 
 // candidateBounds deduplicates the sorted traced upper bounds and, when

@@ -1,12 +1,15 @@
 package mapping
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"memlife/internal/aging"
 	"memlife/internal/crossbar"
 	"memlife/internal/dataset"
 	"memlife/internal/device"
+	"memlife/internal/fault"
 	"memlife/internal/nn"
 	"memlife/internal/tensor"
 	"memlife/internal/train"
@@ -254,5 +257,101 @@ func TestMapRefreshesHostNetwork(t *testing.T) {
 				t.Fatalf("layer %s: host network not refreshed after Map", l.Name)
 			}
 		}
+	}
+}
+
+// agedLeNetTwins trains a small LeNet-5 once and returns a constructor
+// of identical mapped copies on a burned-in array with variable aging
+// (and, with faults, stuck devices), plus an eval batch. Between its
+// weight layers sit ReLU, pooling and flatten layers, so scoring from a
+// layer's input crosses every kind of layer.
+func agedLeNetTwins(t *testing.T) (func(faults bool) *crossbar.MappedNetwork, *tensor.Tensor, []int) {
+	t.Helper()
+	cfg := dataset.SynthConfig{Classes: 6, TrainN: 96, TestN: 60, C: 1, H: 12, W: 12, Noise: 0.8, Seed: 43}
+	trainDS, testDS := dataset.MustGenerate(cfg)
+	lenet := nn.LeNetConfig{InC: 1, H: 12, W: 12, Classes: 6}
+	net, err := nn.NewLeNet5(lenet, tensor.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := train.Train(net, trainDS, testDS, train.Config{
+		Epochs: 2, BatchSize: 16, LR: 0.02, Momentum: 0.9, Seed: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	snap := net.SnapshotParams()
+	twin := func(faults bool) *crossbar.MappedNetwork {
+		net, err := nn.NewLeNet5(lenet, tensor.NewRNG(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.RestoreParams(snap)
+		mn, err := crossbar.NewMappedNetwork(net, device.Params32(), aging.DefaultModel(), 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mn.RandomizeAging(0.5, tensor.NewRNG(11))
+		mn.AddStress(8)
+		if faults {
+			if err := mn.SetFaults(fault.Config{StuckRate: 0.2, Seed: 4}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return mn
+	}
+	b := testDS.Batches(testDS.Len(), nil)[0]
+	return twin, b.X, b.Y
+}
+
+// referenceSelections replays the greedy aging-aware selection of res
+// on an unprogrammed twin, scoring each of res's candidate bounds with
+// the full forward pass (Network.Accuracy): earlier layers hold their
+// committed quantized weights, later layers their software weights.
+func referenceSelections(mn *crossbar.MappedNetwork, res Result, x *tensor.Tensor, y []int) []LayerSelection {
+	mn.RestoreSoftwareWeights()
+	var out []LayerSelection
+	for i, l := range mn.Layers {
+		got := res.Selections[i]
+		ref := LayerSelection{Layer: l.Name, RLo: got.RLo}
+		best := -1.0
+		for _, c := range got.Candidates {
+			l.Crossbar.QuantizeWeightsInto(l.Param.W, l.Target, got.RLo, c.RHi)
+			acc := mn.Net.Accuracy(x, y)
+			ref.Candidates = append(ref.Candidates, CandidateScore{RHi: c.RHi, Accuracy: acc})
+			if acc > best {
+				best, ref.RHi = acc, c.RHi
+			}
+		}
+		l.Crossbar.QuantizeWeightsInto(l.Param.W, l.Target, ref.RLo, ref.RHi)
+		out = append(out, ref)
+	}
+	return out
+}
+
+// TestAgingAwarePrefixScoringMatchesFullForward checks that scoring a
+// candidate from its layer's input gives exactly (==) the accuracy of a
+// full forward pass with that candidate's weights installed, and that
+// the selections match a scorer that runs the full forward, on a conv
+// network with fault-aware mapping off and on.
+func TestAgingAwarePrefixScoringMatchesFullForward(t *testing.T) {
+	twin, x, y := agedLeNetTwins(t)
+	for _, faultAware := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fault_aware=%v", faultAware), func(t *testing.T) {
+			res, err := Map(twin(faultAware), Config{Policy: AgingAware, FaultAware: faultAware}, x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deep := 0 // candidates scored past the first weight layer
+			for _, sel := range res.Selections[1:] {
+				deep += len(sel.Candidates)
+			}
+			if deep <= len(res.Selections)-1 {
+				t.Fatalf("aged array gave only %d candidates past layer 0; the check needs alternatives", deep)
+			}
+			want := referenceSelections(twin(faultAware), res, x, y)
+			if !reflect.DeepEqual(res.Selections, want) {
+				t.Fatalf("prefix-scored selections differ from the full-forward reference:\n got %+v\nwant %+v", res.Selections, want)
+			}
+		})
 	}
 }

@@ -18,8 +18,7 @@ type Conv2D struct {
 	Weight *Param
 	Bias   *Param
 
-	// Per-sample im2col patch matrices cached for the backward pass.
-	cols []*tensor.Tensor
+	x *tensor.Tensor // cached forward input; Backward rebuilds its patches
 
 	workers int // forward-pass parallelism (see Network.SetForwardWorkers)
 }
@@ -70,23 +69,18 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	positions := outH * outW
 	patch := l.Geom.InC * l.Geom.KH * l.Geom.KW
 
+	l.x = x
 	out := tensor.New(b, l.OutC*positions)
-	if cap(l.cols) < b {
-		l.cols = make([]*tensor.Tensor, b)
-	}
-	l.cols = l.cols[:b]
 
 	// Samples are independent, so chunking them over workers leaves the
-	// output bit-identical for every worker count. Each chunk owns a
-	// private position-major scratch buffer.
+	// output bit-identical for every worker count. Each chunk owns one
+	// patch matrix and one position-major product, reused per sample.
 	tensor.ParallelRows(b, l.workers, func(s0, s1 int) {
+		cols := tensor.New(positions, patch)
 		pos := tensor.New(positions, l.OutC)
 		for s := s0; s < s1; s++ {
-			if l.cols[s] == nil {
-				l.cols[s] = tensor.New(positions, patch)
-			}
-			tensor.Im2Col(l.cols[s], x.RowSlice(s), l.Geom)
-			tensor.MatMulInto(pos, l.cols[s], l.Weight.W)
+			tensor.Im2Col(cols, x.RowSlice(s), l.Geom)
+			tensor.MatMulInto(pos, cols, l.Weight.W)
 			// Transpose position-major [positions, OutC] into the
 			// channel-major output row, adding the per-channel bias.
 			row := out.RowSlice(s).Data()
@@ -101,7 +95,9 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It rebuilds each sample's patch matrix
+// from the cached forward input, so it works after Forward in either
+// mode.
 func (l *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	b := dout.Dim(0)
 	outH, outW := l.Geom.OutH(), l.Geom.OutW()
@@ -109,6 +105,7 @@ func (l *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	patch := l.Geom.InC * l.Geom.KH * l.Geom.KW
 
 	dx := tensor.New(b, l.InputSize())
+	cols := tensor.New(positions, patch)
 	dpos := tensor.New(positions, l.OutC)
 	dW := tensor.New(patch, l.OutC)
 	dcols := tensor.New(positions, patch)
@@ -129,7 +126,8 @@ func (l *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			l.Bias.Grad.Data()[c] += gsum
 		}
 		// dW += colsᵀ @ dpos
-		tensor.MatMulATInto(dW, l.cols[s], dpos)
+		tensor.Im2Col(cols, l.x.RowSlice(s), l.Geom)
+		tensor.MatMulATInto(dW, cols, dpos)
 		l.Weight.Grad.Axpy(1, dW)
 		// dcols = dpos @ Wᵀ, scattered back to the input image.
 		tensor.MatMulBTInto(dcols, dpos, l.Weight.W)

@@ -11,6 +11,8 @@ import (
 // respect to the forward output and returns the gradient with respect to
 // the forward input, accumulating parameter gradients along the way.
 // Backward must be called after the Forward whose activations it needs.
+// A layer may keep a reference to its forward input x instead of a
+// copy, so the caller must not mutate x between Forward and Backward.
 type Layer interface {
 	Name() string
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor

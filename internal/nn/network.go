@@ -103,8 +103,17 @@ func (n *Network) ForwardWorkers() int {
 
 // Forward runs the batch x through all layers and returns logits.
 func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return n.ForwardRange(x, 0, len(n.Layers), train)
+}
+
+// ForwardRange runs x through layers [from, to) and returns the last
+// one's output. x is the input of layer from, so
+// ForwardRange(ForwardRange(x, 0, i, t), i, len(Layers), t) computes
+// the same bits as Forward(x, t): range selection uses this to compute
+// a layer's input once and score many candidate weights from there.
+func (n *Network) ForwardRange(x *tensor.Tensor, from, to int, train bool) *tensor.Tensor {
 	out := x
-	for _, l := range n.Layers {
+	for _, l := range n.Layers[from:to] {
 		out = l.Forward(out, train)
 	}
 	return out
@@ -121,8 +130,11 @@ func (n *Network) Backward(dlogits *tensor.Tensor) *tensor.Tensor {
 }
 
 // Predict returns the argmax class for every sample in x.
-func (n *Network) Predict(x *tensor.Tensor) []int {
-	logits := n.Forward(x, false)
+func (n *Network) Predict(x *tensor.Tensor) []int { return n.predictFrom(x, 0) }
+
+// predictFrom is Predict for h, the input of layer from.
+func (n *Network) predictFrom(h *tensor.Tensor, from int) []int {
+	logits := n.ForwardRange(h, from, len(n.Layers), false)
 	b := logits.Dim(0)
 	out := make([]int, b)
 	for i := 0; i < b; i++ {
@@ -132,8 +144,12 @@ func (n *Network) Predict(x *tensor.Tensor) []int {
 }
 
 // Accuracy returns the fraction of samples in x classified as y.
-func (n *Network) Accuracy(x *tensor.Tensor, y []int) float64 {
-	pred := n.Predict(x)
+func (n *Network) Accuracy(x *tensor.Tensor, y []int) float64 { return n.AccuracyFrom(x, 0, y) }
+
+// AccuracyFrom is Accuracy for h, the input of layer from (as computed
+// by ForwardRange(x, 0, from, false)): only layers from onward run.
+func (n *Network) AccuracyFrom(h *tensor.Tensor, from int, y []int) float64 {
+	pred := n.predictFrom(h, from)
 	if len(pred) != len(y) {
 		panic(fmt.Sprintf("nn: accuracy label count %d != batch %d", len(y), len(pred)))
 	}

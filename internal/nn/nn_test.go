@@ -134,12 +134,20 @@ func TestDropoutTrainVsEval(t *testing.T) {
 	}
 }
 
+// TestConvForwardMatchesDirect checks Conv2D against a direct
+// convolution that adds each output's products in the im2col order
+// (ascending patch index, channel-major), skipping zero inputs and
+// padding as the matmul kernel does, and adds the bias last: the
+// result must match with ==.
 func TestConvForwardMatchesDirect(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	g := tensor.ConvGeom{InC: 2, InH: 4, InW: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	l := NewConv2D("c", g, 3, rng)
 	x := tensor.New(2, g.InC*g.InH*g.InW)
 	rng.FillNormal(x, 0, 1)
+	for i := 0; i < x.Size(); i += 5 {
+		x.Data()[i] = 0 // exercise the zero skip
+	}
 	out := l.Forward(x, false)
 
 	for s := 0; s < 2; s++ {
@@ -147,7 +155,7 @@ func TestConvForwardMatchesDirect(t *testing.T) {
 		for oc := 0; oc < 3; oc++ {
 			for oy := 0; oy < 4; oy++ {
 				for ox := 0; ox < 4; ox++ {
-					sum := l.Bias.W.Data()[oc]
+					sum := 0.0
 					for c := 0; c < g.InC; c++ {
 						for ky := 0; ky < 3; ky++ {
 							for kx := 0; kx < 3; kx++ {
@@ -155,15 +163,64 @@ func TestConvForwardMatchesDirect(t *testing.T) {
 								if iy < 0 || iy >= 4 || ix < 0 || ix >= 4 {
 									continue
 								}
+								v := img.Data()[c*16+iy*4+ix]
+								if v == 0 {
+									continue
+								}
 								wIdx := (c*3+ky)*3 + kx
-								sum += img.Data()[c*16+iy*4+ix] * l.Weight.W.At(wIdx, oc)
+								sum += v * l.Weight.W.At(wIdx, oc)
 							}
 						}
 					}
-					got := out.At(s, oc*16+oy*4+ox)
-					if math.Abs(got-sum) > 1e-9 {
-						t.Fatalf("conv forward mismatch at s=%d oc=%d (%d,%d): %g vs %g", s, oc, oy, ox, got, sum)
+					want := sum + l.Bias.W.Data()[oc]
+					if got := out.At(s, oc*16+oy*4+ox); got != want {
+						t.Fatalf("conv forward mismatch at s=%d oc=%d (%d,%d): %g vs %g", s, oc, oy, ox, got, want)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestConvBackwardContract pins what Conv2D.Backward may rely on: the
+// weight, bias and input gradients are bit-identical whether the
+// preceding Forward ran in training or inference mode, and whether or
+// not another Conv2D ran a larger batch in between.
+func TestConvBackwardContract(t *testing.T) {
+	g := tensor.ConvGeom{InC: 2, InH: 5, InW: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	l := NewConv2D("c", g, 4, tensor.NewRNG(5))
+	other := NewConv2D("o", g, 4, tensor.NewRNG(6))
+	rng := tensor.NewRNG(7)
+	x := tensor.New(3, l.InputSize())
+	rng.FillNormal(x, 0, 1)
+	dout := tensor.New(3, l.OutputSize(l.InputSize()))
+	rng.FillNormal(dout, 0, 1)
+	big := tensor.New(7, l.InputSize())
+	rng.FillNormal(big, 0, 1)
+
+	run := func(train bool, between func()) [][]float64 {
+		l.Weight.ZeroGrad()
+		l.Bias.ZeroGrad()
+		l.Forward(x, train)
+		between()
+		dx := l.Backward(dout)
+		return [][]float64{
+			append([]float64(nil), l.Weight.Grad.Data()...),
+			append([]float64(nil), l.Bias.Grad.Data()...),
+			dx.Data(),
+		}
+	}
+	want := run(true, func() {})
+	cases := map[string][][]float64{
+		"after Forward(x, false)":        run(false, func() {}),
+		"after another conv's big batch": run(true, func() { other.Forward(big, true) }),
+	}
+	names := []string{"weight", "bias", "input"}
+	for name, got := range cases {
+		for k := range want {
+			for i, v := range want[k] {
+				if got[k][i] != v {
+					t.Fatalf("%s: %s gradient element %d is %v, want %v", name, names[k], i, got[k][i], v)
 				}
 			}
 		}

@@ -43,36 +43,132 @@ const (
 	matMulBlockMinFloats = matMulBlockK * matMulBlockN
 )
 
+// matMulNZChunk is how many inputs of one a row the streaming kernel
+// gathers at a time (a fixed-size stack buffer keeps it allocation
+// free).
+const matMulNZChunk = 256
+
 // matMulRows computes rows [r0, r1) of dst = a @ b. Each output row is
 // written exactly once and touched by exactly one caller, so disjoint
 // row ranges may run concurrently and the result is bit-identical to a
 // serial pass whatever the partitioning. Large products dispatch to the
-// cache-blocked kernel; every output element accumulates its products
-// in ascending p order with the same zero-input skip in both kernels,
-// so the choice never changes the output bits.
+// cache-blocked kernel; every output element starts from +0 and
+// accumulates its products in ascending p order with the same
+// zero-input skip in both kernels, so the choice never changes the
+// output bits.
+//
+// The streaming kernel is register-blocked: it gathers the non-zero
+// inputs of a row (with their b row offsets) once, then sweeps them for
+// each block of 6 output columns, and for a 4-, 2- and 1-column tail,
+// keeping the block's sums in local accumulators instead of re-reading
+// and re-writing dst once per p. Rows longer than matMulNZChunk are
+// gathered a chunk at a time, the sums carried across chunks through
+// dst.
 func matMulRows(dst, a, b *Tensor, r0, r1 int) {
 	k, n := a.shape[1], b.shape[1]
 	if k*n > matMulBlockMinFloats {
 		matMulRowsBlocked(dst, a, b, r0, r1)
 		return
 	}
+	var vals [matMulNZChunk]float64
+	var offs [matMulNZChunk]int
 	for i := r0; i < r1; i++ {
 		arow := a.data[i*k : (i+1)*k]
 		drow := dst.data[i*n : (i+1)*n]
 		for j := range drow {
 			drow[j] = 0
 		}
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
+		for p0 := 0; p0 < k; p0 += matMulNZChunk {
+			cnt := gatherNonZero(&vals, &offs, arow[p0:min(p0+matMulNZChunk, k)], p0*n, n)
+			nzv, nzo := vals[:cnt], offs[:cnt]
+			j := 0
+			for ; j+6 <= n; j += 6 {
+				accum6(drow[j:j+6:j+6], nzv, nzo, b.data[j:])
 			}
-			brow := b.data[p*n : (p+1)*n]
-			for j, bv := range brow {
-				drow[j] += av * bv
+			if j+4 <= n {
+				accum4(drow[j:j+4:j+4], nzv, nzo, b.data[j:])
+				j += 4
+			}
+			if j+2 <= n {
+				accum2(drow[j:j+2:j+2], nzv, nzo, b.data[j:])
+				j += 2
+			}
+			if j < n {
+				accum1(drow[j:j+1], nzv, nzo, b.data[j:])
 			}
 		}
 	}
+}
+
+// gatherNonZero stores the non-zero entries of arow in vals, each with
+// the offset of its b row in offs (off for arow[0], stepping by n), and
+// returns how many it stored. len(arow) must not exceed matMulNZChunk,
+// so cnt stays below it and the index mask only drops the bounds
+// check. It is kept out of line: inlined into matMulRows, its loop counters
+// were spilled to the stack on every iteration.
+//
+//go:noinline
+func gatherNonZero(vals *[matMulNZChunk]float64, offs *[matMulNZChunk]int, arow []float64, off, n int) int {
+	cnt := 0
+	for _, av := range arow {
+		vals[cnt&(matMulNZChunk-1)] = av
+		offs[cnt&(matMulNZChunk-1)] = off
+		off += n
+		if av != 0 {
+			cnt++
+		}
+	}
+	return cnt
+}
+
+// accum6 adds, for each gathered input t in order, vals[t] times the
+// b row at offs[t] to the 6 sums in d, holding them in registers across
+// the sweep. accum4, accum2 and accum1 do the same for narrower blocks.
+func accum6(d, vals []float64, offs []int, b []float64) {
+	c0, c1, c2, c3, c4, c5 := d[0], d[1], d[2], d[3], d[4], d[5]
+	for t, av := range vals {
+		o := offs[t]
+		bb := b[o : o+6 : o+6]
+		c0 += av * bb[0]
+		c1 += av * bb[1]
+		c2 += av * bb[2]
+		c3 += av * bb[3]
+		c4 += av * bb[4]
+		c5 += av * bb[5]
+	}
+	d[0], d[1], d[2], d[3], d[4], d[5] = c0, c1, c2, c3, c4, c5
+}
+
+func accum4(d, vals []float64, offs []int, b []float64) {
+	c0, c1, c2, c3 := d[0], d[1], d[2], d[3]
+	for t, av := range vals {
+		o := offs[t]
+		bb := b[o : o+4 : o+4]
+		c0 += av * bb[0]
+		c1 += av * bb[1]
+		c2 += av * bb[2]
+		c3 += av * bb[3]
+	}
+	d[0], d[1], d[2], d[3] = c0, c1, c2, c3
+}
+
+func accum2(d, vals []float64, offs []int, b []float64) {
+	c0, c1 := d[0], d[1]
+	for t, av := range vals {
+		o := offs[t]
+		bb := b[o : o+2 : o+2]
+		c0 += av * bb[0]
+		c1 += av * bb[1]
+	}
+	d[0], d[1] = c0, c1
+}
+
+func accum1(d, vals []float64, offs []int, b []float64) {
+	c := d[0]
+	for t, av := range vals {
+		c += av * b[offs[t]]
+	}
+	d[0] = c
 }
 
 // matMulRowsBlocked is the tiled variant of matMulRows: b is walked one
@@ -146,7 +242,10 @@ func MatMulATInto(dst, a, b *Tensor) {
 }
 
 // MatMulBTInto computes dst = a @ bᵀ where a is [m,k] and b is [n,k],
-// producing dst [m,n].
+// producing dst [m,n]. Each output element is a plain dot product that
+// starts from +0 and adds every product (zeros included) in ascending
+// p; blocks of 4 output columns are summed together in local
+// accumulators so each a row is read once per block.
 func MatMulBTInto(dst, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n, k2 := b.shape[0], b.shape[1]
@@ -159,7 +258,22 @@ func MatMulBTInto(dst, a, b *Tensor) {
 	for i := 0; i < m; i++ {
 		arow := a.data[i*k : (i+1)*k]
 		drow := dst.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b.data[j*k : (j+1)*k]
+			b1 := b.data[(j+1)*k : (j+2)*k]
+			b2 := b.data[(j+2)*k : (j+3)*k]
+			b3 := b.data[(j+3)*k : (j+4)*k]
+			var s0, s1, s2, s3 float64
+			for p, av := range arow {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
 			brow := b.data[j*k : (j+1)*k]
 			s := 0.0
 			for p, av := range arow {
