@@ -17,7 +17,6 @@
 //     and figure of the paper's evaluation.
 //
 // The cmd/memlife CLI runs any experiment; the examples/ directory
-// holds runnable walkthroughs; bench_test.go in this directory has one
-// benchmark per reproduced table/figure. See README.md, DESIGN.md and
-// EXPERIMENTS.md.
+// holds runnable walkthroughs; perfbench/ (a module of its own) is the
+// end-to-end benchmark. See README.md, DESIGN.md and EXPERIMENTS.md.
 package memlife

@@ -46,22 +46,15 @@ func TestHistogramEmptyPanics(t *testing.T) {
 	NewHistogram(nil, 4)
 }
 
-func TestBinCenterAndFractions(t *testing.T) {
+func TestBinCenter(t *testing.T) {
 	h := NewHistogramRange([]float64{0.25, 0.25, 0.75}, 0, 1, 2)
 	if h.BinCenter(0) != 0.25 || h.BinCenter(1) != 0.75 {
 		t.Fatalf("bin centers = %g, %g", h.BinCenter(0), h.BinCenter(1))
 	}
-	f := h.Fractions()
-	if math.Abs(f[0]-2.0/3) > 1e-12 || math.Abs(f[1]-1.0/3) > 1e-12 {
-		t.Fatalf("fractions = %v", f)
-	}
 }
 
-func TestModeBinAndMassBelow(t *testing.T) {
+func TestMassBelow(t *testing.T) {
 	h := NewHistogramRange([]float64{0.1, 0.1, 0.1, 0.9}, 0, 1, 2)
-	if h.ModeBin() != 0 {
-		t.Fatalf("mode bin = %d, want 0", h.ModeBin())
-	}
 	if got := h.MassBelow(0.5); math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("mass below 0.5 = %g, want 0.75", got)
 	}

@@ -4,9 +4,9 @@ import "sort"
 
 // KSStatistic returns the two-sample Kolmogorov-Smirnov statistic: the
 // maximum vertical distance between the empirical CDFs of a and b, in
-// [0, 1]. The experiments use it to quantify how far skewed training
-// moves the weight/resistance distributions from their conventional
-// shapes (Fig. 3 vs Fig. 6). Panics on empty inputs.
+// [0, 1]. Panics on empty inputs. No experiment reports it; a test
+// uses it to check that skewed training moves the weight distribution
+// away from its conventional shape (Fig. 3 vs Fig. 6).
 func KSStatistic(a, b []float64) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		panic("analysis: KS statistic of empty sample")

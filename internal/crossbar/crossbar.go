@@ -463,19 +463,6 @@ func (c *Crossbar) TracedUpperBounds() []float64 {
 	return out
 }
 
-// TracedLowerBounds returns the estimated aged lower bounds of the
-// traced devices, sorted ascending.
-func (c *Crossbar) TracedLowerBounds() []float64 {
-	idx := c.TracedIndices()
-	out := make([]float64, 0, len(idx))
-	for _, ij := range idx {
-		lo, _ := c.AgedBounds(ij[0], ij[1])
-		out = append(out, lo)
-	}
-	sort.Float64s(out)
-	return out
-}
-
 // UsableLevelStats summarizes the usable-level distribution across the
 // array (min/mean over devices), after aging.
 func (c *Crossbar) UsableLevelStats() (min int, mean float64) {

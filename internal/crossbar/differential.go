@@ -23,10 +23,6 @@ import (
 type DifferentialCrossbar struct {
 	Pos *Crossbar
 	Neg *Crossbar
-
-	// scale converts conductance difference to weight value.
-	scale  float64
-	mapped bool
 }
 
 // NewDifferential builds a differential array of rows x cols weight
@@ -57,11 +53,8 @@ func (d *DifferentialCrossbar) MapWeights(w *tensor.Tensor) MapStats {
 	if absMax == 0 {
 		absMax = 1
 	}
-	d.scale = absMax / (gMax - gMin)
-	d.mapped = true
-	// Record mapping state on both halves so EffectiveWeights-style
-	// readback has the ranges it needs. Each half maps magnitude
-	// [0, absMax] onto the full conductance range.
+	// Each half maps magnitude [0, absMax] onto the full conductance
+	// range.
 	var stats MapStats
 	for i := 0; i < d.Pos.Rows; i++ {
 		for j := 0; j < d.Pos.Cols; j++ {
@@ -89,23 +82,6 @@ func (d *DifferentialCrossbar) MapWeights(w *tensor.Tensor) MapStats {
 		}
 	}
 	return stats
-}
-
-// EffectiveWeights reads back the weights the pair implements. It
-// returns ErrNotMapped before the first MapWeights.
-func (d *DifferentialCrossbar) EffectiveWeights() (*tensor.Tensor, error) {
-	if !d.mapped {
-		return nil, ErrNotMapped
-	}
-	out := tensor.New(d.Pos.Rows, d.Pos.Cols)
-	for i := 0; i < d.Pos.Rows; i++ {
-		for j := 0; j < d.Pos.Cols; j++ {
-			gp := d.Pos.at(i, j).Conductance()
-			gn := d.Neg.at(i, j).Conductance()
-			out.Set((gp-gn)*d.scale, i, j)
-		}
-	}
-	return out, nil
 }
 
 // TotalStress sums the accumulated stress over both halves.

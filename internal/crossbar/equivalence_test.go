@@ -73,7 +73,7 @@ func (p *equivPair) check(t *testing.T, step string) {
 	}
 	effN, err := p.naive.EffectiveWeightsNaive()
 	if err != nil {
-		t.Fatalf("%s: naive EffectiveWeights: %v", step, err)
+		t.Fatalf("%s: EffectiveWeightsNaive: %v", step, err)
 	}
 	for i, v := range effN.Data() {
 		if eff.Data()[i] != v {

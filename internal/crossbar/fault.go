@@ -32,10 +32,6 @@ func (c *Crossbar) SetFaultInjector(inj *fault.Injector) error {
 	return nil
 }
 
-// FaultInjector returns the attached injector (nil when fault
-// injection is off).
-func (c *Crossbar) FaultInjector() *fault.Injector { return c.inj }
-
 // IsStuck reports whether device (i, j) is permanently stuck.
 func (c *Crossbar) IsStuck(i, j int) bool { return c.at(i, j).Stuck() }
 

@@ -17,16 +17,6 @@ func mustEff(t testing.TB, cb *Crossbar) *tensor.Tensor {
 	return eff
 }
 
-// mustDiffEff reads back a differential pair, failing the test on error.
-func mustDiffEff(t testing.TB, d *DifferentialCrossbar) *tensor.Tensor {
-	t.Helper()
-	eff, err := d.EffectiveWeights()
-	if err != nil {
-		t.Fatalf("EffectiveWeights: %v", err)
-	}
-	return eff
-}
-
 // skipVector consumes the draws of one n-element normal vector from
 // rng. The seeded mutation-script tests take these draws from their op
 // stream before the script starts, which fixes the operation sequence

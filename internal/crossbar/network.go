@@ -65,14 +65,6 @@ func NewMappedNetwork(net *nn.Network, p device.Params, m aging.Model, tempK flo
 	return mn, nil
 }
 
-// SetTargets replaces the mapping targets with the current weights of
-// the host network (e.g. after retraining in software).
-func (m *MappedNetwork) SetTargets() {
-	for _, l := range m.Layers {
-		l.Target = l.Param.W.Clone()
-	}
-}
-
 // RestoreSoftwareWeights writes the trained target weights back into the
 // host network, undoing any Refresh. Useful for comparing software and
 // hardware accuracy on the same network object.
@@ -131,15 +123,6 @@ func (m *MappedNetwork) StuckCounts() (lrs, hrs int) {
 		hrs += b
 	}
 	return lrs, hrs
-}
-
-// DeviceCount returns the total number of devices across all crossbars.
-func (m *MappedNetwork) DeviceCount() int {
-	n := 0
-	for _, l := range m.Layers {
-		n += l.Crossbar.Rows * l.Crossbar.Cols
-	}
-	return n
 }
 
 // MapStatsTotal aggregates per-layer mapping stats.

@@ -107,16 +107,6 @@ func TestRestoreSoftwareWeights(t *testing.T) {
 	}
 }
 
-func TestSetTargetsPicksUpRetraining(t *testing.T) {
-	net, _, _ := trainedSmallNet(t)
-	mn := newMapped(t, net)
-	mn.Layers[0].Param.W.Fill(0.42)
-	mn.SetTargets()
-	if mn.Layers[0].Target.At(0, 0) != 0.42 {
-		t.Fatal("SetTargets must snapshot current network weights")
-	}
-}
-
 func TestMapAllFreshAccounting(t *testing.T) {
 	net, _, _ := trainedSmallNet(t)
 	mn := newMapped(t, net)

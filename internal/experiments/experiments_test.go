@@ -73,6 +73,12 @@ func TestFig3VsFig6Mechanism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if d3.MeanRelConductance < 0.3 {
+		t.Fatalf("conventional training should sit mid-range, got mean relative conductance %.3f", d3.MeanRelConductance)
+	}
+	if d6.MeanRelConductance > 0.4 {
+		t.Fatalf("skewed training should push towards low conductance, got mean relative conductance %.3f", d6.MeanRelConductance)
+	}
 	if d6.MeanRelConductance >= d3.MeanRelConductance-0.1 {
 		t.Fatalf("skewed mean relative conductance %.3f must sit well below conventional %.3f",
 			d6.MeanRelConductance, d3.MeanRelConductance)
@@ -224,8 +230,13 @@ func TestFig11ConvAgesFaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Conv.Y) == 0 {
-		t.Fatal("conv series must have points")
+	if len(r.Conv.Y) == 0 || len(r.FC.Y) != len(r.Conv.Y) {
+		t.Fatalf("conv and fc series must have the same, non-zero number of points: %d vs %d", len(r.Conv.Y), len(r.FC.Y))
+	}
+	for i := range r.Conv.Y {
+		if r.Conv.Y[i] <= 0 || r.FC.Y[i] <= 0 {
+			t.Fatalf("per-kind upper bounds must be recorded at point %d: conv %g, fc %g", i, r.Conv.Y[i], r.FC.Y[i])
+		}
 	}
 	last := len(r.Conv.Y) - 1
 	if r.Conv.Y[last] >= r.FC.Y[last] {

@@ -1,6 +1,7 @@
 package lifetime
 
 import (
+	"context"
 	"testing"
 
 	"memlife/internal/device"
@@ -17,7 +18,7 @@ func TestBurnInShortensLifetime(t *testing.T) {
 	}
 	snap := net.SnapshotParams()
 
-	fresh, err := Run(net, trainDS, TT, device.Params32(), fastAging(), 300, testConfig(target))
+	fresh, err := RunCtx(context.Background(), net, trainDS, TT, device.Params32(), fastAging(), 300, testConfig(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestBurnInShortensLifetime(t *testing.T) {
 
 	cfg := testConfig(target)
 	cfg.BurnInStress = 5
-	burned, err := Run(net, trainDS, TT, device.Params32(), fastAging(), 300, cfg)
+	burned, err := RunCtx(context.Background(), net, trainDS, TT, device.Params32(), fastAging(), 300, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestPolicyOverridePlumbing(t *testing.T) {
 	cfg.BurnInStress = 2
 	fresh := mapping.Fresh
 	cfg.PolicyOverride = &fresh
-	overridden, err := Run(net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg)
+	overridden, err := RunCtx(context.Background(), net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestPolicyOverridePlumbing(t *testing.T) {
 
 	cfg2 := testConfig(target)
 	cfg2.BurnInStress = 2
-	stt, err := Run(net, trainDS, STT, device.Params32(), fastAging(), 300, cfg2)
+	stt, err := RunCtx(context.Background(), net, trainDS, STT, device.Params32(), fastAging(), 300, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestTraceStridePlumbing(t *testing.T) {
 	cfg := testConfig(target)
 	cfg.TraceStride = 1
 	cfg.MaxCycles = 5
-	res, err := Run(net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg)
+	res, err := RunCtx(context.Background(), net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -276,30 +276,10 @@ type Result struct {
 	FinalAcc float64
 }
 
-// AccuracyCurve returns the accuracy-vs-applications trajectory of the
-// run: one point per served cycle (cumulative applications, accuracy
-// after tuning). Together with Lifetime this is the graceful-
-// degradation view: instead of a single death point, the curve shows
-// how far and how fast a faulty array's delivered accuracy sagged.
-func (r Result) AccuracyCurve() (apps []int64, acc []float64) {
-	apps = make([]int64, len(r.Records))
-	acc = make([]float64, len(r.Records))
-	for i, rec := range r.Records {
-		apps[i] = rec.Apps
-		acc[i] = rec.Acc
-	}
-	return apps, acc
-}
-
-// Run simulates the deployment life of net under the scenario. The
+// RunCtx simulates the deployment life of net under the scenario. The
 // network's current weights are the mapping targets; trainDS supplies
-// tuning batches and the evaluation subset.
-func Run(net *nn.Network, trainDS *dataset.Dataset, sc Scenario, p device.Params, model aging.Model, tempK float64, cfg Config) (Result, error) {
-	return RunCtx(context.Background(), net, trainDS, sc, p, model, tempK, cfg)
-}
-
-// RunCtx is Run with cancellation: the simulation checks ctx before
-// the initial mapping and at every deployment cycle, returning
+// tuning batches and the evaluation subset. The simulation checks ctx
+// before the initial mapping and at every deployment cycle, returning
 // ctx.Err() (wrapped) as soon as the context is cancelled or times
 // out. A cancelled run's partial Result is not meaningful.
 //

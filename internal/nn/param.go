@@ -1,6 +1,6 @@
 // Package nn implements the neural-network substrate the paper trains
 // and maps onto memristor crossbars: dense and convolutional layers,
-// pooling, activations, softmax cross-entropy, and builders for the two
+// max pooling, ReLU, softmax cross-entropy, and builders for the two
 // evaluated topologies (LeNet-5 and VGG-16).
 //
 // All layers exchange rank-2 batch tensors of shape [B, D]; spatial

@@ -61,14 +61,14 @@ func TestPermanentStopsImmediately(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("calls = %d, want 1", calls)
 	}
-	if IsPermanent(err) {
-		t.Fatal("Do should unwrap the Permanent marker")
+	if err != errBad {
+		t.Fatalf("Do should unwrap the Permanent marker, got %#v", err)
 	}
 	if Permanent(nil) != nil {
 		t.Fatal("Permanent(nil) must be nil")
 	}
-	if !IsPermanent(Permanent(errBad)) {
-		t.Fatal("IsPermanent(Permanent(err)) must be true")
+	if !errors.Is(Permanent(errBad), errBad) {
+		t.Fatal("Permanent(err) must wrap err")
 	}
 }
 

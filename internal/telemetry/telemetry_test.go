@@ -263,7 +263,7 @@ func TestGlobalInstallAndReset(t *testing.T) {
 	if got := r.Counter("g/x").Value(); got != 1 {
 		t.Fatalf("global counter = %d, want 1", got)
 	}
-	if H("g/h_ns", NsBounds()) == nil || G("g/g") == nil || T("g/t") == nil {
+	if H("g/h_ns", NsBounds()) == nil || Global().Gauge("g/g") == nil || T("g/t") == nil {
 		t.Fatal("global helpers must resolve instruments once installed")
 	}
 }

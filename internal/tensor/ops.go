@@ -19,35 +19,10 @@ func AddInto(dst, a, b *Tensor) {
 	}
 }
 
-// SubInto sets dst = a - b elementwise.
-func SubInto(dst, a, b *Tensor) {
-	checkSameSize("SubInto", a, b)
-	checkSameSize("SubInto", dst, a)
-	for i := range dst.data {
-		dst.data[i] = a.data[i] - b.data[i]
-	}
-}
-
-// MulInto sets dst = a * b elementwise (Hadamard product).
-func MulInto(dst, a, b *Tensor) {
-	checkSameSize("MulInto", a, b)
-	checkSameSize("MulInto", dst, a)
-	for i := range dst.data {
-		dst.data[i] = a.data[i] * b.data[i]
-	}
-}
-
 // Scale multiplies every element of t by s in place.
 func (t *Tensor) Scale(s float64) {
 	for i := range t.data {
 		t.data[i] *= s
-	}
-}
-
-// AddScalar adds s to every element of t in place.
-func (t *Tensor) AddScalar(s float64) {
-	for i := range t.data {
-		t.data[i] += s
 	}
 }
 

@@ -50,9 +50,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 // modified.
 func (t *Tensor) Shape() []int { return t.shape }
 
-// Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.shape) }
-
 // Dim returns the size of dimension i.
 func (t *Tensor) Dim(i int) int { return t.shape[i] }
 
@@ -76,35 +73,6 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %d vs %d", len(t.data), len(src.data)))
 	}
 	copy(t.data, src.data)
-}
-
-// Reshape returns a view of t with a new shape of equal volume. The
-// backing data is shared.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	inferred := -1
-	for i, d := range shape {
-		if d == -1 {
-			if inferred >= 0 {
-				panic("tensor: at most one -1 dimension allowed in Reshape")
-			}
-			inferred = i
-			continue
-		}
-		n *= d
-	}
-	out := append([]int(nil), shape...)
-	if inferred >= 0 {
-		if n == 0 || len(t.data)%n != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, shape))
-		}
-		out[inferred] = len(t.data) / n
-		n *= out[inferred]
-	}
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: reshape %v to %v changes volume", t.shape, shape))
-	}
-	return &Tensor{shape: out, data: t.data}
 }
 
 // offset computes the flat index for the given multi-dimensional index.
@@ -140,19 +108,6 @@ func (t *Tensor) Zero() {
 	for i := range t.data {
 		t.data[i] = 0
 	}
-}
-
-// SameShape reports whether t and u have identical shapes.
-func (t *Tensor) SameShape(u *Tensor) bool {
-	if len(t.shape) != len(u.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != u.shape[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders small tensors fully and large ones as a summary.
@@ -241,20 +196,4 @@ func (t *Tensor) ArgMax() int {
 		}
 	}
 	return bi
-}
-
-// Apply replaces every element x with f(x).
-func (t *Tensor) Apply(f func(float64) float64) {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-}
-
-// Map returns a new tensor whose elements are f applied to t's elements.
-func (t *Tensor) Map(f func(float64) float64) *Tensor {
-	out := New(t.shape...)
-	for i, v := range t.data {
-		out.data[i] = f(v)
-	}
-	return out
 }
