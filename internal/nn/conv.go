@@ -18,7 +18,8 @@ type Conv2D struct {
 	Weight *Param
 	Bias   *Param
 
-	x *tensor.Tensor // cached forward input; Backward rebuilds its patches
+	table *tensor.PatchTable // built once from Geom; every pass reads x through it
+	x     *tensor.Tensor     // cached forward input
 
 	workers int // forward-pass parallelism (see Network.SetForwardWorkers)
 }
@@ -38,6 +39,7 @@ func NewConv2D(name string, geom tensor.ConvGeom, outC int, rng *tensor.RNG) *Co
 		name: name, Geom: geom, OutC: outC,
 		Weight: newParam(name+".w", KindWeight, w),
 		Bias:   newParam(name+".b", KindBias, tensor.New(outC)),
+		table:  tensor.NewPatchTable(geom),
 	}
 }
 
@@ -61,33 +63,30 @@ func (l *Conv2D) OutputSize(in int) int {
 // Forward implements Layer. Each output row holds the channel-major
 // (OutC, OutH, OutW) volume of one sample.
 func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	b := x.Dim(0)
-	if x.Dim(1) != l.InputSize() {
-		panic(fmt.Sprintf("nn: conv %q forward input width %d, want %d", l.name, x.Dim(1), l.InputSize()))
+	b, in := x.Dim(0), l.InputSize()
+	if x.Dim(1) != in {
+		panic(fmt.Sprintf("nn: conv %q forward input width %d, want %d", l.name, x.Dim(1), in))
 	}
-	outH, outW := l.Geom.OutH(), l.Geom.OutW()
-	positions := outH * outW
-	patch := l.Geom.InC * l.Geom.KH * l.Geom.KW
+	positions := l.Geom.OutH() * l.Geom.OutW()
 
 	l.x = x
 	out := tensor.New(b, l.OutC*positions)
+	bias := l.Bias.W.Data()
 
 	// Samples are independent, so chunking them over workers leaves the
 	// output bit-identical for every worker count. Each chunk owns one
-	// patch matrix and one position-major product, reused per sample.
+	// position-major product, reused per sample.
 	tensor.ParallelRows(b, l.workers, func(s0, s1 int) {
-		cols := tensor.New(positions, patch)
 		pos := tensor.New(positions, l.OutC)
+		pd := pos.Data()
 		for s := s0; s < s1; s++ {
-			tensor.Im2Col(cols, x.RowSlice(s), l.Geom)
-			tensor.MatMulInto(pos, cols, l.Weight.W)
+			l.table.ForwardInto(pos, x.Data()[s*in:(s+1)*in], l.Weight.W)
 			// Transpose position-major [positions, OutC] into the
 			// channel-major output row, adding the per-channel bias.
-			row := out.RowSlice(s).Data()
-			pd := pos.Data()
+			row := out.Data()[s*l.OutC*positions : (s+1)*l.OutC*positions]
 			for p := 0; p < positions; p++ {
 				for c := 0; c < l.OutC; c++ {
-					row[c*positions+p] = pd[p*l.OutC+c] + l.Bias.W.Data()[c]
+					row[c*positions+p] = pd[p*l.OutC+c] + bias[c]
 				}
 			}
 		}
@@ -95,27 +94,31 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer. It rebuilds each sample's patch matrix
-// from the cached forward input, so it works after Forward in either
-// mode.
+// Backward implements Layer. It reads the cached forward input through
+// the patch table, so it works after Forward in either mode.
 func (l *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	b := dout.Dim(0)
-	outH, outW := l.Geom.OutH(), l.Geom.OutW()
-	positions := outH * outW
-	patch := l.Geom.InC * l.Geom.KH * l.Geom.KW
+	dx := tensor.New(dout.Dim(0), l.InputSize())
+	l.backward(dout, dx)
+	return dx
+}
 
-	dx := tensor.New(b, l.InputSize())
-	cols := tensor.New(positions, patch)
+// backwardParams implements paramBackward.
+func (l *Conv2D) backwardParams(dout *tensor.Tensor) { l.backward(dout, nil) }
+
+// backward accumulates the weight and bias gradients of dout, sample by
+// sample, and writes the input gradient into dx unless dx is nil.
+func (l *Conv2D) backward(dout, dx *tensor.Tensor) {
+	b, in := dout.Dim(0), l.InputSize()
+	positions := l.Geom.OutH() * l.Geom.OutW()
+
 	dpos := tensor.New(positions, l.OutC)
-	dW := tensor.New(patch, l.OutC)
-	dcols := tensor.New(positions, patch)
-	dimg := tensor.New(l.Geom.InC, l.Geom.InH, l.Geom.InW)
-
+	dW := tensor.New(l.Weight.W.Dim(0), l.OutC)
+	dp := dpos.Data()
+	db := l.Bias.Grad.Data()
 	for s := 0; s < b; s++ {
 		// Channel-major gradient row -> position-major matrix,
 		// accumulating the bias gradient on the way.
-		row := dout.RowSlice(s).Data()
-		dp := dpos.Data()
+		row := dout.Data()[s*l.OutC*positions : (s+1)*l.OutC*positions]
 		for c := 0; c < l.OutC; c++ {
 			gsum := 0.0
 			for p := 0; p < positions; p++ {
@@ -123,16 +126,13 @@ func (l *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 				dp[p*l.OutC+c] = v
 				gsum += v
 			}
-			l.Bias.Grad.Data()[c] += gsum
+			db[c] += gsum
 		}
-		// dW += colsᵀ @ dpos
-		tensor.Im2Col(cols, l.x.RowSlice(s), l.Geom)
-		tensor.MatMulATInto(dW, cols, dpos)
+		// dW += patches(x)ᵀ @ dpos, one per-sample partial at a time.
+		l.table.WeightGradInto(dW, l.x.Data()[s*in:(s+1)*in], dpos)
 		l.Weight.Grad.Axpy(1, dW)
-		// dcols = dpos @ Wᵀ, scattered back to the input image.
-		tensor.MatMulBTInto(dcols, dpos, l.Weight.W)
-		tensor.Col2Im(dimg, dcols, l.Geom)
-		copy(dx.RowSlice(s).Data(), dimg.Data())
+		if dx != nil {
+			l.table.InputGradInto(dx.Data()[s*in:(s+1)*in], dpos, l.Weight.W)
+		}
 	}
-	return dx
 }

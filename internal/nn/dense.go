@@ -62,13 +62,18 @@ func (l *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	// dW += xᵀ @ dout, db += column sums of dout, dx = dout @ Wᵀ.
+	l.backwardParams(dout)
+	// dx = dout @ Wᵀ
+	dx := tensor.New(dout.Dim(0), l.In)
+	tensor.MatMulBTInto(dx, dout, l.Weight.W)
+	return dx
+}
+
+// backwardParams implements paramBackward: dW += xᵀ @ dout and db +=
+// the column sums of dout.
+func (l *Dense) backwardParams(dout *tensor.Tensor) {
 	dW := tensor.New(l.In, l.Out)
 	tensor.MatMulATInto(dW, l.x, dout)
 	l.Weight.Grad.Axpy(1, dW)
 	l.Bias.Grad.Axpy(1, dout.SumRows())
-
-	dx := tensor.New(dout.Dim(0), l.In)
-	tensor.MatMulBTInto(dx, dout, l.Weight.W)
-	return dx
 }

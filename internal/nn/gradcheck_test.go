@@ -84,9 +84,13 @@ func TestGradCheckInputGradient(t *testing.T) {
 	rng.FillNormal(x, 0, 1)
 	y := []int{0, 2}
 
+	// Network.Backward computes no input gradient, so chain the
+	// layers' own Backward, which every layer implements in full.
 	net.ZeroGrads()
-	_, dlogits := SoftmaxCrossEntropy(net.Forward(x, false), y)
-	dx := net.Backward(dlogits)
+	_, dx := SoftmaxCrossEntropy(net.Forward(x, false), y)
+	for i := len(net.Layers) - 1; i >= 0; i-- {
+		dx = net.Layers[i].Backward(dx)
+	}
 
 	const eps = 1e-5
 	for i := 0; i < x.Size(); i++ {

@@ -119,14 +119,27 @@ func (n *Network) ForwardRange(x *tensor.Tensor, from, to int, train bool) *tens
 	return out
 }
 
+// paramBackward is implemented by the weight layers: backwardParams
+// accumulates the layer's parameter gradients exactly as Backward does
+// but computes no input gradient.
+type paramBackward interface {
+	backwardParams(dout *tensor.Tensor)
+}
+
 // Backward propagates dlogits through all layers, accumulating parameter
-// gradients, and returns the input gradient.
-func (n *Network) Backward(dlogits *tensor.Tensor) *tensor.Tensor {
+// gradients. The network's input gradient is never needed, so the first
+// layer only accumulates its parameter gradients; to get the input
+// gradient, chain Layer.Backward over the layers instead.
+func (n *Network) Backward(dlogits *tensor.Tensor) {
 	d := dlogits
-	for i := len(n.Layers) - 1; i >= 0; i-- {
+	for i := len(n.Layers) - 1; i > 0; i-- {
 		d = n.Layers[i].Backward(d)
 	}
-	return d
+	if len(n.Layers) > 0 {
+		if l, ok := n.Layers[0].(paramBackward); ok {
+			l.backwardParams(d)
+		}
+	}
 }
 
 // Predict returns the argmax class for every sample in x.

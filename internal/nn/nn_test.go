@@ -313,3 +313,75 @@ func TestBuilderConfigValidation(t *testing.T) {
 		t.Fatal("MLP must reject single-width spec")
 	}
 }
+
+// TestNetworkBackwardMatchesLayerChain pins the first-layer shortcut of
+// Network.Backward: the first layer runs only its parameter-gradient
+// half, and every parameter gradient must be bit-identical to chaining
+// Layer.Backward over all layers.
+func TestNetworkBackwardMatchesLayerChain(t *testing.T) {
+	lenet, err := NewLeNet5(LeNetConfig{InC: 3, H: 12, W: 12, Classes: 10}, tensor.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mlp, err := NewMLP("m", []int{20, 12, 7, 4}, tensor.NewRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, net := range []*Network{lenet, mlp} {
+		t.Run(net.Name, func(t *testing.T) {
+			rng := tensor.NewRNG(5)
+			x := tensor.New(6, net.InputSize)
+			rng.FillNormal(x, 0, 1)
+			for i := 0; i < x.Size(); i += 4 {
+				x.Data()[i] = 0
+			}
+			y := []int{0, 1, 2, 3, 1, 0}
+			grads := func(backward func(d *tensor.Tensor)) [][]float64 {
+				net.ZeroGrads()
+				_, d := SoftmaxCrossEntropy(net.Forward(x, true), y)
+				backward(d)
+				var out [][]float64
+				for _, p := range net.Params() {
+					out = append(out, append([]float64(nil), p.Grad.Data()...))
+				}
+				return out
+			}
+			want := grads(func(d *tensor.Tensor) {
+				for i := len(net.Layers) - 1; i >= 0; i-- {
+					d = net.Layers[i].Backward(d)
+				}
+			})
+			got := grads(func(d *tensor.Tensor) { net.Backward(d) })
+			for k, p := range net.Params() {
+				for i, v := range want[k] {
+					if math.Float64bits(got[k][i]) != math.Float64bits(v) {
+						t.Fatalf("%s gradient element %d is %v, want %v", p.Name, i, got[k][i], v)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestConvForwardWorkersBitIdentical requires the conv forward pass to
+// produce the same bits whatever the number of sample workers.
+func TestConvForwardWorkersBitIdentical(t *testing.T) {
+	g := tensor.ConvGeom{InC: 3, InH: 12, InW: 12, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}
+	l := NewConv2D("c", g, 6, tensor.NewRNG(8))
+	x := tensor.New(9, l.InputSize())
+	rng := tensor.NewRNG(9)
+	rng.FillNormal(x, 0, 1)
+	for i := 0; i < x.Size(); i += 3 {
+		x.Data()[i] = 0
+	}
+	want := l.Forward(x, false).Data()
+	for _, workers := range []int{1, 2, 8} {
+		l.workers = workers
+		got := l.Forward(x, false).Data()
+		for i, v := range want {
+			if got[i] != v {
+				t.Fatalf("workers=%d: output %d is %v, want %v", workers, i, got[i], v)
+			}
+		}
+	}
+}

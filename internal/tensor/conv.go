@@ -36,98 +36,180 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
-// Im2Col expands a single image of shape [C,H,W] (flattened in input)
-// into a patch matrix of shape [OutH*OutW, C*KH*KW], writing into dst.
-// Each row of dst holds one receptive field in channel-major order, so
-// a convolution becomes dst @ W with W shaped [C*KH*KW, OutC].
-// Out-of-bounds (padding) positions contribute zeros.
-func Im2Col(dst, input *Tensor, g ConvGeom) {
+// PatchTable is the patch-index table of a convolution: entry
+// p*patch+t is the flat input index that im2col row p (an output
+// position), column t (a channel-major kernel tap) would read, or -1
+// where that tap falls in the padding. The three conv kernels read a
+// sample's input through it, so no patch matrix is ever built.
+//
+// Each kernel keeps, for every output element, the summation order of
+// the im2col formulation it replaces: start from +0, add in ascending
+// order, no fused multiply-add, no reassociation. The forward and
+// weight-gradient kernels skip zero inputs (padding is a zero input),
+// as matMulRows and MatMulATInto do; the input-gradient dot products
+// skip nothing, as MatMulBTInto does.
+type PatchTable struct {
+	idx              []int32
+	positions, patch int
+	inSize           int
+}
+
+// NewPatchTable builds the table of a valid geometry g.
+func NewPatchTable(g ConvGeom) *PatchTable {
+	if err := g.Validate(); err != nil {
+		panic(err)
+	}
 	outH, outW := g.OutH(), g.OutW()
-	patch := g.InC * g.KH * g.KW
-	if dst.Size() != outH*outW*patch {
-		panic(fmt.Sprintf("tensor: Im2Col dst size %d, want %d", dst.Size(), outH*outW*patch))
+	pt := &PatchTable{
+		positions: outH * outW,
+		patch:     g.InC * g.KH * g.KW,
+		inSize:    g.InC * g.InH * g.InW,
 	}
-	if input.Size() != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Im2Col input size %d, want %d", input.Size(), g.InC*g.InH*g.InW))
-	}
-	in := input.data
-	out := dst.data
-	row := 0
+	pt.idx = make([]int32, 0, pt.positions*pt.patch)
 	for oy := 0; oy < outH; oy++ {
 		iy0 := oy*g.StrideH - g.PadH
 		for ox := 0; ox < outW; ox++ {
 			ix0 := ox*g.StrideW - g.PadW
-			base := row * patch
-			col := 0
 			for c := 0; c < g.InC; c++ {
-				cOff := c * g.InH * g.InW
 				for ky := 0; ky < g.KH; ky++ {
 					iy := iy0 + ky
-					if iy < 0 || iy >= g.InH {
-						for kx := 0; kx < g.KW; kx++ {
-							out[base+col] = 0
-							col++
-						}
-						continue
-					}
-					rOff := cOff + iy*g.InW
 					for kx := 0; kx < g.KW; kx++ {
 						ix := ix0 + kx
-						if ix < 0 || ix >= g.InW {
-							out[base+col] = 0
+						if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
+							pt.idx = append(pt.idx, -1)
 						} else {
-							out[base+col] = in[rOff+ix]
+							pt.idx = append(pt.idx, int32((c*g.InH+iy)*g.InW+ix))
 						}
-						col++
 					}
 				}
 			}
-			row++
+		}
+	}
+	return pt
+}
+
+// check panics unless img holds one sample of the table's input, byPos
+// is [positions, n] and byTap is [patch, n] for the same n.
+func (pt *PatchTable) check(op string, img []float64, byPos, byTap *Tensor) {
+	if len(img) != pt.inSize {
+		panic(fmt.Sprintf("tensor: PatchTable.%s image size %d, want %d", op, len(img), pt.inSize))
+	}
+	if len(byPos.shape) != 2 || len(byTap.shape) != 2 ||
+		byPos.shape[0] != pt.positions || byTap.shape[0] != pt.patch || byPos.shape[1] != byTap.shape[1] {
+		panic(fmt.Sprintf("tensor: PatchTable.%s operand shapes %v and %v, want [%d n] and [%d n]",
+			op, byPos.shape, byTap.shape, pt.positions, pt.patch))
+	}
+}
+
+// ForwardInto computes dst = P(x) @ w, the position-major convolution
+// of the sample image x (flat [C,H,W]): dst is [positions, n] and w is
+// [patch, n]. It gathers each position's non-zero, non-padding inputs
+// straight from x and sweeps them with matMulRows' register blocks,
+// so each output element equals MatMulInto(dst, Im2Col(x), w) bit for
+// bit.
+func (pt *PatchTable) ForwardInto(dst *Tensor, x []float64, w *Tensor) {
+	n := w.shape[1]
+	pt.check("ForwardInto", x, dst, w)
+	var vals [matMulNZChunk]float64
+	var offs [matMulNZChunk]int
+	for p := 0; p < pt.positions; p++ {
+		row := pt.idx[p*pt.patch : (p+1)*pt.patch]
+		drow := dst.data[p*n : (p+1)*n]
+		clear(drow)
+		for t0 := 0; t0 < pt.patch; t0 += matMulNZChunk {
+			cnt := gatherPatch(&vals, &offs, x, row[t0:min(t0+matMulNZChunk, pt.patch)], t0*n, n)
+			accumRow(drow, vals[:cnt], offs[:cnt], w.data)
 		}
 	}
 }
 
-// Col2Im is the adjoint of Im2Col: it scatter-adds the patch matrix
-// cols of shape [OutH*OutW, C*KH*KW] back into an image gradient of
-// shape [C,H,W] in dst. dst is zeroed first.
-func Col2Im(dst, cols *Tensor, g ConvGeom) {
-	outH, outW := g.OutH(), g.OutW()
-	patch := g.InC * g.KH * g.KW
-	if cols.Size() != outH*outW*patch {
-		panic(fmt.Sprintf("tensor: Col2Im cols size %d, want %d", cols.Size(), outH*outW*patch))
-	}
-	if dst.Size() != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Col2Im dst size %d, want %d", dst.Size(), g.InC*g.InH*g.InW))
-	}
-	dst.Zero()
-	out := dst.data
-	in := cols.data
-	row := 0
-	for oy := 0; oy < outH; oy++ {
-		iy0 := oy*g.StrideH - g.PadH
-		for ox := 0; ox < outW; ox++ {
-			ix0 := ox*g.StrideW - g.PadW
-			base := row * patch
-			col := 0
-			for c := 0; c < g.InC; c++ {
-				cOff := c * g.InH * g.InW
-				for ky := 0; ky < g.KH; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= g.InH {
-						col += g.KW
-						continue
-					}
-					rOff := cOff + iy*g.InW
-					for kx := 0; kx < g.KW; kx++ {
-						ix := ix0 + kx
-						if ix >= 0 && ix < g.InW {
-							out[rOff+ix] += in[base+col]
-						}
-						col++
-					}
-				}
-			}
-			row++
+// WeightGradInto computes dst = P(x)ᵀ @ dpos, the weight gradient of
+// one sample: dst is [patch, n] and dpos is [positions, n]. Row t of
+// dst gathers column t of the patch matrix (the inputs tap t meets at
+// each position, in ascending position order, zeros and padding
+// skipped) and sweeps the dpos rows with the register blocks, so each
+// element equals MatMulATInto(dst, Im2Col(x), dpos) bit for bit.
+func (pt *PatchTable) WeightGradInto(dst *Tensor, x []float64, dpos *Tensor) {
+	n := dpos.shape[1]
+	pt.check("WeightGradInto", x, dpos, dst)
+	var vals [matMulNZChunk]float64
+	var offs [matMulNZChunk]int
+	for t := 0; t < pt.patch; t++ {
+		drow := dst.data[t*n : (t+1)*n]
+		clear(drow)
+		for p0 := 0; p0 < pt.positions; p0 += matMulNZChunk {
+			p1 := min(p0+matMulNZChunk, pt.positions)
+			cnt := gatherTap(&vals, &offs, x, pt.idx[p0*pt.patch+t:], pt.patch, p1-p0, p0*n, n)
+			accumRow(drow, vals[:cnt], offs[:cnt], dpos.data)
 		}
 	}
+}
+
+// InputGradInto computes the input gradient of one sample, dx =
+// Col2Im(dpos @ wᵀ) with dx flat [C,H,W], dpos [positions, n] and w
+// [patch, n], without the intermediate matrix: for every non-padding
+// (p, t) in ascending order it adds dot(dpos[p], w[t]) to dx at the
+// input index tap t reads. Each dot starts from +0 and adds every
+// product, zeros included, in ascending j, as MatMulBTInto does; the
+// dots padding would discard are never computed.
+func (pt *PatchTable) InputGradInto(dx []float64, dpos, w *Tensor) {
+	n := w.shape[1]
+	pt.check("InputGradInto", dx, dpos, w)
+	clear(dx)
+	for p := 0; p < pt.positions; p++ {
+		dp := dpos.data[p*n : (p+1)*n : (p+1)*n]
+		for t, ix := range pt.idx[p*pt.patch : (p+1)*pt.patch] {
+			if ix < 0 {
+				continue
+			}
+			wr := w.data[t*n : (t+1)*n : (t+1)*n]
+			s := 0.0
+			for j, v := range dp {
+				s += v * wr[j]
+			}
+			dx[ix] += s
+		}
+	}
+}
+
+// gatherPatch is gatherNonZero for one patch-matrix row read through
+// the table: it stores the non-zero inputs x[idx[t]] (padding, -1,
+// skipped) with their w row offsets (off for idx[0], stepping by n).
+//
+//go:noinline
+func gatherPatch(vals *[matMulNZChunk]float64, offs *[matMulNZChunk]int, x []float64, idx []int32, off, n int) int {
+	cnt := 0
+	for _, ix := range idx {
+		if ix >= 0 {
+			v := x[ix]
+			vals[cnt&(matMulNZChunk-1)] = v
+			offs[cnt&(matMulNZChunk-1)] = off
+			if v != 0 {
+				cnt++
+			}
+		}
+		off += n
+	}
+	return cnt
+}
+
+// gatherTap is gatherPatch down one patch-matrix column: it reads
+// count table entries idx[0], idx[stride], ... in ascending position
+// order.
+//
+//go:noinline
+func gatherTap(vals *[matMulNZChunk]float64, offs *[matMulNZChunk]int, x []float64, idx []int32, stride, count, off, n int) int {
+	cnt := 0
+	for q := 0; q < count; q++ {
+		if ix := idx[q*stride]; ix >= 0 {
+			v := x[ix]
+			vals[cnt&(matMulNZChunk-1)] = v
+			offs[cnt&(matMulNZChunk-1)] = off
+			if v != 0 {
+				cnt++
+			}
+		}
+		off += n
+	}
+	return cnt
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -191,5 +192,251 @@ func TestInitializerScales(t *testing.T) {
 	want := math.Sqrt(2.0 / 100.0)
 	if math.Abs(std-want) > 0.02 {
 		t.Fatalf("He init std = %g, want ~%g", std, want)
+	}
+}
+
+// Im2Col and Col2Im are the im2col formulation of a convolution that
+// the PatchTable kernels replaced, kept as their oracle.
+
+// Im2Col expands a single image of shape [C,H,W] (flattened in input)
+// into a patch matrix of shape [OutH*OutW, C*KH*KW], writing into dst.
+// Each row of dst holds one receptive field in channel-major order, so
+// a convolution becomes dst @ W with W shaped [C*KH*KW, OutC].
+// Out-of-bounds (padding) positions contribute zeros.
+func Im2Col(dst, input *Tensor, g ConvGeom) {
+	outH, outW := g.OutH(), g.OutW()
+	patch := g.InC * g.KH * g.KW
+	if dst.Size() != outH*outW*patch {
+		panic(fmt.Sprintf("tensor: Im2Col dst size %d, want %d", dst.Size(), outH*outW*patch))
+	}
+	if input.Size() != g.InC*g.InH*g.InW {
+		panic(fmt.Sprintf("tensor: Im2Col input size %d, want %d", input.Size(), g.InC*g.InH*g.InW))
+	}
+	in := input.data
+	out := dst.data
+	row := 0
+	for oy := 0; oy < outH; oy++ {
+		iy0 := oy*g.StrideH - g.PadH
+		for ox := 0; ox < outW; ox++ {
+			ix0 := ox*g.StrideW - g.PadW
+			base := row * patch
+			col := 0
+			for c := 0; c < g.InC; c++ {
+				cOff := c * g.InH * g.InW
+				for ky := 0; ky < g.KH; ky++ {
+					iy := iy0 + ky
+					if iy < 0 || iy >= g.InH {
+						for kx := 0; kx < g.KW; kx++ {
+							out[base+col] = 0
+							col++
+						}
+						continue
+					}
+					rOff := cOff + iy*g.InW
+					for kx := 0; kx < g.KW; kx++ {
+						ix := ix0 + kx
+						if ix < 0 || ix >= g.InW {
+							out[base+col] = 0
+						} else {
+							out[base+col] = in[rOff+ix]
+						}
+						col++
+					}
+				}
+			}
+			row++
+		}
+	}
+}
+
+// Col2Im is the adjoint of Im2Col: it scatter-adds the patch matrix
+// cols of shape [OutH*OutW, C*KH*KW] back into an image gradient of
+// shape [C,H,W] in dst. dst is zeroed first.
+func Col2Im(dst, cols *Tensor, g ConvGeom) {
+	outH, outW := g.OutH(), g.OutW()
+	patch := g.InC * g.KH * g.KW
+	if cols.Size() != outH*outW*patch {
+		panic(fmt.Sprintf("tensor: Col2Im cols size %d, want %d", cols.Size(), outH*outW*patch))
+	}
+	if dst.Size() != g.InC*g.InH*g.InW {
+		panic(fmt.Sprintf("tensor: Col2Im dst size %d, want %d", dst.Size(), g.InC*g.InH*g.InW))
+	}
+	dst.Zero()
+	out := dst.data
+	in := cols.data
+	row := 0
+	for oy := 0; oy < outH; oy++ {
+		iy0 := oy*g.StrideH - g.PadH
+		for ox := 0; ox < outW; ox++ {
+			ix0 := ox*g.StrideW - g.PadW
+			base := row * patch
+			col := 0
+			for c := 0; c < g.InC; c++ {
+				cOff := c * g.InH * g.InW
+				for ky := 0; ky < g.KH; ky++ {
+					iy := iy0 + ky
+					if iy < 0 || iy >= g.InH {
+						col += g.KW
+						continue
+					}
+					rOff := cOff + iy*g.InW
+					for kx := 0; kx < g.KW; kx++ {
+						ix := ix0 + kx
+						if ix >= 0 && ix < g.InW {
+							out[rOff+ix] += in[base+col]
+						}
+						col++
+					}
+				}
+			}
+			row++
+		}
+	}
+}
+
+// assertBitsEqual requires got and want to hold the same float64 bits,
+// so NaN payloads and the sign of zero are pinned too.
+func assertBitsEqual(t *testing.T, got, want []float64, what string) {
+	t.Helper()
+	for i, v := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(v) {
+			t.Fatalf("%s: element %d is %v (%#x), want %v (%#x)", what, i, got[i], math.Float64bits(got[i]), v, math.Float64bits(v))
+		}
+	}
+}
+
+// TestConvTableKernelsBitIdentical proves the three PatchTable kernels
+// against the im2col formulation they replace, bit for bit: forward
+// against Im2Col + MatMulInto, the weight gradient against Im2Col +
+// MatMulATInto, the input gradient against MatMulBTInto + Col2Im. The
+// data pins every skip: input channel 1 is all ±0 and faces ±Inf
+// weight rows (the forward must skip zeros and padding, or those
+// outputs turn NaN); ±Inf dpos entries face zero inputs and padding
+// (the weight gradient must skip them); and an Inf in dpos faces a
+// zero weight (the input gradient skips nothing, so that dx is NaN).
+func TestConvTableKernelsBitIdentical(t *testing.T) {
+	cases := []struct {
+		name string
+		g    ConvGeom
+		outC int
+	}{
+		{"lenet-conv1", ConvGeom{InC: 3, InH: 12, InW: 12, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}, 6},
+		{"lenet-conv2", ConvGeom{InC: 6, InH: 6, InW: 6, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}, 16},
+		// patch 288 crosses the 256-input gather chunk.
+		{"vgg-3x3-c32", ConvGeom{InC: 32, InH: 6, InW: 6, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 13},
+		{"stride2-pad0", ConvGeom{InC: 2, InH: 9, InW: 7, KH: 3, KW: 3, StrideH: 2, StrideW: 2}, 5},
+		// 400 positions cross the chunk in the weight-gradient gather.
+		{"positions-400", ConvGeom{InC: 2, InH: 20, InW: 20, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 3},
+	}
+	for ci, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, n := tc.g, tc.outC
+			positions, patch := g.OutH()*g.OutW(), g.InC*g.KH*g.KW
+			plane, taps := g.InH*g.InW, g.KH*g.KW
+			rng := NewRNG(int64(100 + ci))
+
+			x := New(g.InC, g.InH, g.InW)
+			rng.FillNormal(x, 0, 1)
+			for i := 0; i < len(x.data); i += 5 {
+				x.data[i] = 0
+			}
+			for i := 2; i < len(x.data); i += 7 {
+				x.data[i] = math.Copysign(0, -1)
+			}
+			for i := plane; i < 2*plane; i++ { // channel 1: all ±0
+				x.data[i] = math.Copysign(0, float64(1-2*(i%2)))
+			}
+
+			// Forward: channel 1's weight rows are ±Inf.
+			wf := New(patch, n)
+			rng.FillNormal(wf, 0, 1)
+			for tap := taps; tap < 2*taps; tap++ {
+				for j := 0; j < n; j++ {
+					wf.data[tap*n+j] = math.Inf(1 - 2*((tap+j)%2))
+				}
+			}
+			cols := New(positions, patch)
+			Im2Col(cols, x, g)
+			want := New(positions, n)
+			MatMulInto(want, cols, wf)
+			pt := NewPatchTable(g)
+			got := New(positions, n)
+			got.Fill(7) // stale contents must not leak into the sums
+			pt.ForwardInto(got, x.data, wf)
+			assertBitsEqual(t, got.data, want.data, "ForwardInto")
+			for _, v := range got.data {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("forward output %v: the ±Inf rows face only zeros and padding", v)
+				}
+			}
+
+			// Weight gradient: ±Inf at the first and last positions,
+			// which read padding (when padded) and channel 1's zeros.
+			dpos := New(positions, n)
+			rng.FillNormal(dpos, 0, 1)
+			for j := 0; j < n; j++ {
+				dpos.data[j] = math.Inf(1)
+				dpos.data[(positions-1)*n+j] = math.Inf(-1)
+			}
+			wantDW := New(patch, n)
+			MatMulATInto(wantDW, cols, dpos)
+			gotDW := New(patch, n)
+			gotDW.Fill(7)
+			pt.WeightGradInto(gotDW, x.data, dpos)
+			assertBitsEqual(t, gotDW.data, wantDW.data, "WeightGradInto")
+			for i := taps * n; i < 2*taps*n; i++ {
+				if gotDW.data[i] != 0 {
+					t.Fatalf("weight gradient of a tap on the all-zero channel is %v, want 0", gotDW.data[i])
+				}
+			}
+
+			// Input gradient: one Inf in dpos, facing a zero weight.
+			wb := New(patch, n)
+			rng.FillNormal(wb, 0, 1)
+			for i := 0; i < len(wb.data); i += 11 {
+				wb.data[i] = 0
+			}
+			dposX := New(positions, n)
+			rng.FillNormal(dposX, 0, 1)
+			p0 := positions / 2
+			dposX.data[p0*n] = math.Inf(1)
+			wb.data[0] = 0 // tap 0 meets the Inf with a zero weight
+			dcols := New(positions, patch)
+			MatMulBTInto(dcols, dposX, wb)
+			wantDX := New(g.InC, g.InH, g.InW)
+			Col2Im(wantDX, dcols, g)
+			gotDX := make([]float64, g.InC*g.InH*g.InW)
+			for i := range gotDX {
+				gotDX[i] = 7
+			}
+			pt.InputGradInto(gotDX, dposX, wb)
+			assertBitsEqual(t, gotDX, wantDX.data, "InputGradInto")
+			if ix := pt.idx[p0*patch]; ix >= 0 && !math.IsNaN(gotDX[ix]) {
+				t.Fatalf("dx[%d] = %v: Inf times a zero weight must give NaN", ix, gotDX[ix])
+			}
+		})
+	}
+}
+
+// TestPatchTableEntries pins the table against Im2Col: entry (p, t) is
+// the index of the input Im2Col copies into row p, column t, or -1
+// exactly where Im2Col writes padding.
+func TestPatchTableEntries(t *testing.T) {
+	g := ConvGeom{InC: 2, InH: 5, InW: 4, KH: 3, KW: 2, StrideH: 2, StrideW: 1, PadH: 1, PadW: 1}
+	x := New(g.InC, g.InH, g.InW)
+	for i := range x.data {
+		x.data[i] = float64(i + 1) // 0 only in padding
+	}
+	cols := New(g.OutH()*g.OutW(), g.InC*g.KH*g.KW)
+	Im2Col(cols, x, g)
+	pt := NewPatchTable(g)
+	if len(pt.idx) != len(cols.data) {
+		t.Fatalf("table has %d entries, want %d", len(pt.idx), len(cols.data))
+	}
+	for i, ix := range pt.idx {
+		want := int32(cols.data[i]) - 1
+		if ix != want {
+			t.Fatalf("entry %d is %d, want %d", i, ix, want)
+		}
 	}
 }

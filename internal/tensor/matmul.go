@@ -80,23 +80,31 @@ func matMulRows(dst, a, b *Tensor, r0, r1 int) {
 		}
 		for p0 := 0; p0 < k; p0 += matMulNZChunk {
 			cnt := gatherNonZero(&vals, &offs, arow[p0:min(p0+matMulNZChunk, k)], p0*n, n)
-			nzv, nzo := vals[:cnt], offs[:cnt]
-			j := 0
-			for ; j+6 <= n; j += 6 {
-				accum6(drow[j:j+6:j+6], nzv, nzo, b.data[j:])
-			}
-			if j+4 <= n {
-				accum4(drow[j:j+4:j+4], nzv, nzo, b.data[j:])
-				j += 4
-			}
-			if j+2 <= n {
-				accum2(drow[j:j+2:j+2], nzv, nzo, b.data[j:])
-				j += 2
-			}
-			if j < n {
-				accum1(drow[j:j+1], nzv, nzo, b.data[j:])
-			}
+			accumRow(drow, vals[:cnt], offs[:cnt], b.data)
 		}
+	}
+}
+
+// accumRow adds, for each gathered input t in order, vals[t] times the
+// b row at offs[t] to drow (b has len(drow) columns): blocks of 6
+// columns, then a 4-, 2- and 1-column tail, each summed in registers
+// across the whole sweep.
+func accumRow(drow, vals []float64, offs []int, b []float64) {
+	n := len(drow)
+	j := 0
+	for ; j+6 <= n; j += 6 {
+		accum6(drow[j:j+6:j+6], vals, offs, b[j:])
+	}
+	if j+4 <= n {
+		accum4(drow[j:j+4:j+4], vals, offs, b[j:])
+		j += 4
+	}
+	if j+2 <= n {
+		accum2(drow[j:j+2:j+2], vals, offs, b[j:])
+		j += 2
+	}
+	if j < n {
+		accum1(drow[j:j+1], vals, offs, b[j:])
 	}
 }
 

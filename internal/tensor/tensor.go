@@ -1,6 +1,6 @@
 // Package tensor provides the dense float64 tensor type and the numeric
-// kernels (matmul, im2col, elementwise ops, reductions) that the neural
-// network and crossbar simulation layers are built on.
+// kernels (matmul, conv patch tables, elementwise ops, reductions) that
+// the neural network and crossbar simulation layers are built on.
 //
 // Tensors are row-major and always own their backing slice. The package
 // is deliberately small and allocation-conscious: the training loop and

@@ -14,7 +14,6 @@ package tuning
 
 import (
 	"fmt"
-	"sort"
 
 	"memlife/internal/crossbar"
 	"memlife/internal/dataset"
@@ -338,13 +337,58 @@ func pulseLayer(l *crossbar.MappedLayer, thr float64, retryBudget int, ar *arena
 	return int64(st.Retries), int64(st.StuckSkipped)
 }
 
-// kthLargestAbs returns the k-th largest value in abs (1-based),
-// sorting abs in place; entries must already be absolute values.
+// kthLargestAbs returns the k-th largest value in abs (1-based; k past
+// the length gives the smallest), reordering abs in place; entries must
+// already be absolute values. It is the value sort.Float64s would put
+// at index len(abs)-k, NaN ordered below everything as that sort does,
+// found by quickselect: median-of-3 pivots and a three-way partition,
+// so runs of equal magnitudes (zero gradients) shrink the range at
+// once. It allocates nothing.
 func kthLargestAbs(abs []float64, k int) float64 {
-	sort.Float64s(abs)
-	idx := len(abs) - k
-	if idx < 0 {
-		idx = 0
+	idx := max(len(abs)-k, 0)
+	lo, hi := 0, len(abs)-1
+	for lo < hi {
+		pivot := medianOf3(abs[lo], abs[lo+(hi-lo)/2], abs[hi])
+		// abs[lo:lt] < pivot, abs[lt:i] == pivot, abs[gt+1:hi+1] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch v := abs[i]; {
+			case sortLess(v, pivot):
+				abs[lt], abs[i] = v, abs[lt]
+				lt++
+				i++
+			case sortLess(pivot, v):
+				abs[gt], abs[i] = v, abs[gt]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case idx < lt:
+			hi = lt - 1
+		case idx > gt:
+			lo = gt + 1
+		default:
+			return abs[idx]
+		}
 	}
 	return abs[idx]
+}
+
+// sortLess is the order of sort.Float64s: numeric, with NaN first.
+func sortLess(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// medianOf3 returns the median of a, b and c under sortLess.
+func medianOf3(a, b, c float64) float64 {
+	if sortLess(b, a) {
+		a, b = b, a
+	}
+	if sortLess(c, b) {
+		b = c
+		if sortLess(b, a) {
+			b = a
+		}
+	}
+	return b
 }
