@@ -21,6 +21,10 @@ type Conv2D struct {
 	table *tensor.PatchTable // built once from Geom; every pass reads x through it
 	x     *tensor.Tensor     // cached forward input
 
+	// Backward scratch, sized on the first backward call.
+	dpos, dW *tensor.Tensor
+	scratch  tensor.ConvScratch
+
 	workers int // forward-pass parallelism (see Network.SetForwardWorkers)
 }
 
@@ -111,9 +115,13 @@ func (l *Conv2D) backward(dout, dx *tensor.Tensor) {
 	b, in := dout.Dim(0), l.InputSize()
 	positions := l.Geom.OutH() * l.Geom.OutW()
 
-	dpos := tensor.New(positions, l.OutC)
-	dW := tensor.New(l.Weight.W.Dim(0), l.OutC)
-	dp := dpos.Data()
+	if l.dpos == nil {
+		l.dpos = tensor.New(positions, l.OutC)
+		l.dW = tensor.New(l.Weight.W.Dim(0), l.OutC)
+	}
+	// One weight finiteness check per call (see tensor.PatchTable).
+	l.scratch.Prepare(l.table, l.Weight.W)
+	dp := l.dpos.Data()
 	db := l.Bias.Grad.Data()
 	for s := 0; s < b; s++ {
 		// Channel-major gradient row -> position-major matrix,
@@ -129,10 +137,10 @@ func (l *Conv2D) backward(dout, dx *tensor.Tensor) {
 			db[c] += gsum
 		}
 		// dW += patches(x)ᵀ @ dpos, one per-sample partial at a time.
-		l.table.WeightGradInto(dW, l.x.Data()[s*in:(s+1)*in], dpos)
-		l.Weight.Grad.Axpy(1, dW)
+		l.table.WeightGradInto(l.dW, l.x.Data()[s*in:(s+1)*in], l.dpos, &l.scratch)
+		l.Weight.Grad.Axpy(1, l.dW)
 		if dx != nil {
-			l.table.InputGradInto(dx.Data()[s*in:(s+1)*in], dpos, l.Weight.W)
+			l.table.InputGradInto(dx.Data()[s*in:(s+1)*in], l.dpos, l.Weight.W, &l.scratch)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package nn
 
-import "memlife/internal/tensor"
+import (
+	"math"
+
+	"memlife/internal/tensor"
+)
 
 // Layer is one differentiable stage of a network. Forward consumes and
 // produces [B, D] batch tensors; Backward consumes the gradient with
@@ -37,35 +41,47 @@ func (l *ReLU) Params() []*Param { return nil }
 // OutputSize implements Layer.
 func (l *ReLU) OutputSize(in int) int { return in }
 
-// Forward implements Layer.
+// Forward implements Layer. Each output element is selected by a bit
+// mask rather than a branch, which random-sign activations would
+// mispredict: x where x > 0, +0 elsewhere (NaN included).
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone()
-	d := out.Data()
-	if cap(l.mask) < len(d) {
-		l.mask = make([]bool, len(d))
+	out := tensor.New(x.Shape()...)
+	xd := x.Data()
+	d := out.Data()[:len(xd)]
+	if cap(l.mask) < len(xd) {
+		l.mask = make([]bool, len(xd))
 	}
-	l.mask = l.mask[:len(d)]
-	for i, v := range d {
-		if v > 0 {
-			l.mask[i] = true
-		} else {
-			l.mask[i] = false
-			d[i] = 0
-		}
+	l.mask = l.mask[:len(xd)]
+	mask := l.mask
+	for i, v := range xd {
+		keep := v > 0
+		mask[i] = keep
+		d[i] = math.Float64frombits(math.Float64bits(v) & bitMask(keep))
 	}
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer: dout where the forward input was positive,
+// +0 elsewhere, selected by bit mask.
 func (l *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	dx := dout.Clone()
-	d := dx.Data()
-	for i := range d {
-		if !l.mask[i] {
-			d[i] = 0
-		}
+	dx := tensor.New(dout.Shape()...)
+	g := dout.Data()
+	d := dx.Data()[:len(g)]
+	mask := l.mask[:len(g)]
+	for i, v := range g {
+		d[i] = math.Float64frombits(math.Float64bits(v) & bitMask(mask[i]))
 	}
 	return dx
+}
+
+// bitMask returns all ones for true and zero for false; the compiler
+// turns it into a conditional move.
+func bitMask(b bool) uint64 {
+	var m uint64
+	if b {
+		m = ^uint64(0)
+	}
+	return m
 }
 
 // Flatten marks the transition from spatial to fully-connected layers.

@@ -44,10 +44,23 @@ func (g ConvGeom) Validate() error {
 //
 // Each kernel keeps, for every output element, the summation order of
 // the im2col formulation it replaces: start from +0, add in ascending
-// order, no fused multiply-add, no reassociation. The forward and
-// weight-gradient kernels skip zero inputs (padding is a zero input),
-// as matMulRows and MatMulATInto do; the input-gradient dot products
-// skip nothing, as MatMulBTInto does.
+// order, no reassociation. The forward and weight-gradient kernels skip
+// zero inputs (padding is a zero input), as matMulRows and MatMulATInto
+// do. The input-gradient dots of MatMulBTInto skip nothing.
+//
+// The two backward kernels may also skip the terms of ±0 dpos entries.
+// That is exact under a finiteness guard: a sum that starts at +0 and
+// adds in order is never -0, so adding a ±0 product leaves it
+// unchanged, and a product is ±0 when one factor is ±0 and the other
+// finite. So the weight gradient skips ±0 dpos entries only when its
+// sample's input is all finite, and the input gradient only when the
+// weights are (ConvScratch.Prepare checks them once per backward call).
+// Where a guard fails, the same sweep adds every dpos entry, which is
+// the im2col arithmetic term for term.
+//
+// "No fused multiply-add" holds where the compiler does not fuse, as on
+// amd64. Go may fuse x*y+z into one rounding, and on arm64 it does:
+// accum6 compiles to six FMADD there.
 type PatchTable struct {
 	idx              []int32
 	positions, patch int
@@ -123,24 +136,104 @@ func (pt *PatchTable) ForwardInto(dst *Tensor, x []float64, w *Tensor) {
 	}
 }
 
+// ConvScratch is one conv layer's scratch for the two backward kernels:
+// the entries of one dpos row that a kernel adds, one position's
+// input-gradient dots, and whether the weights Prepare checked are all
+// finite. A layer keeps one, so after its first Prepare the kernels
+// allocate nothing.
+type ConvScratch struct {
+	vals    []float64 // the dpos entries a kernel adds...
+	cols    []int     // ...and their columns, ascending
+	acc     []float64 // one position's input-gradient dot per tap
+	w       *Tensor   // the weights Prepare checked
+	finiteW bool      // ...are all finite
+}
+
+// Prepare readies sc for one backward call of a layer with table pt and
+// weights w ([patch, n]): it sizes the lists and checks once whether
+// InputGradInto may skip the terms of ±0 dpos entries.
+func (sc *ConvScratch) Prepare(pt *PatchTable, w *Tensor) {
+	n := w.shape[1]
+	if cap(sc.vals) < n {
+		sc.vals, sc.cols = make([]float64, n), make([]int, n)
+	}
+	sc.vals, sc.cols = sc.vals[:n], sc.cols[:n]
+	if cap(sc.acc) < pt.patch {
+		sc.acc = make([]float64, pt.patch)
+	}
+	sc.acc = sc.acc[:pt.patch]
+	sc.w, sc.finiteW = w, allFinite(w.data)
+}
+
+// allFinite reports whether no element of a is ±Inf or NaN.
+func allFinite(a []float64) bool {
+	for _, v := range a {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// termRow stores the entries of row a kernel adds in sc.vals and their
+// columns in sc.cols, and returns how many: every entry if keepZeros,
+// else the non-zero ones (NaN included).
+func (sc *ConvScratch) termRow(row []float64, keepZeros bool) int {
+	vals, cols := sc.vals[:len(row)], sc.cols[:len(row)]
+	cnt := 0
+	for j, v := range row {
+		vals[cnt] = v
+		cols[cnt] = j
+		if v != 0 || keepZeros {
+			cnt++
+		}
+	}
+	return cnt
+}
+
 // WeightGradInto computes dst = P(x)ᵀ @ dpos, the weight gradient of
-// one sample: dst is [patch, n] and dpos is [positions, n]. Row t of
-// dst gathers column t of the patch matrix (the inputs tap t meets at
-// each position, in ascending position order, zeros and padding
-// skipped) and sweeps the dpos rows with the register blocks, so each
-// element equals MatMulATInto(dst, Im2Col(x), dpos) bit for bit.
-func (pt *PatchTable) WeightGradInto(dst *Tensor, x []float64, dpos *Tensor) {
-	n := dpos.shape[1]
+// one sample: dst is [patch, n] and dpos is [positions, n]. Each
+// element equals MatMulATInto(dst, Im2Col(x), dpos) bit for bit: it
+// adds x·dpos over the positions in ascending order, zero inputs and
+// padding skipped. Each position adds the outer product of its non-zero
+// inputs and its dpos row; when x is all finite, the row's ±0 entries
+// are skipped too.
+func (pt *PatchTable) WeightGradInto(dst *Tensor, x []float64, dpos *Tensor, sc *ConvScratch) {
 	pt.check("WeightGradInto", x, dpos, dst)
+	pt.weightGrad(dst, x, dpos, sc, !allFinite(x))
+}
+
+// weightGrad is WeightGradInto with the zero-term choice made by the
+// caller: keepZeros adds the terms of ±0 dpos entries.
+func (pt *PatchTable) weightGrad(dst *Tensor, x []float64, dpos *Tensor, sc *ConvScratch, keepZeros bool) {
+	n := dpos.shape[1]
 	var vals [matMulNZChunk]float64
 	var offs [matMulNZChunk]int
-	for t := 0; t < pt.patch; t++ {
-		drow := dst.data[t*n : (t+1)*n]
-		clear(drow)
-		for p0 := 0; p0 < pt.positions; p0 += matMulNZChunk {
-			p1 := min(p0+matMulNZChunk, pt.positions)
-			cnt := gatherTap(&vals, &offs, x, pt.idx[p0*pt.patch+t:], pt.patch, p1-p0, p0*n, n)
-			accumRow(drow, vals[:cnt], offs[:cnt], dpos.data)
+	clear(dst.data)
+	for p := 0; p < pt.positions; p++ {
+		k := sc.termRow(dpos.data[p*n:(p+1)*n], keepZeros)
+		if k == 0 {
+			continue
+		}
+		row := pt.idx[p*pt.patch : (p+1)*pt.patch]
+		for t0 := 0; t0 < pt.patch; t0 += matMulNZChunk {
+			cnt := gatherPatch(&vals, &offs, x, row[t0:min(t0+matMulNZChunk, pt.patch)], t0*n, n)
+			i := 0
+			for ; i+1 < k; i += 2 {
+				d0, d1 := sc.vals[i], sc.vals[i+1]
+				c0, c1 := dst.data[sc.cols[i]:], dst.data[sc.cols[i+1]:]
+				for q, v := range vals[:cnt] {
+					o := offs[q]
+					c0[o] += v * d0
+					c1[o] += v * d1
+				}
+			}
+			if i < k {
+				d, col := sc.vals[i], dst.data[sc.cols[i]:]
+				for q, v := range vals[:cnt] {
+					col[offs[q]] += v * d
+				}
+			}
 		}
 	}
 }
@@ -149,25 +242,52 @@ func (pt *PatchTable) WeightGradInto(dst *Tensor, x []float64, dpos *Tensor) {
 // Col2Im(dpos @ wᵀ) with dx flat [C,H,W], dpos [positions, n] and w
 // [patch, n], without the intermediate matrix: for every non-padding
 // (p, t) in ascending order it adds dot(dpos[p], w[t]) to dx at the
-// input index tap t reads. Each dot starts from +0 and adds every
-// product, zeros included, in ascending j, as MatMulBTInto does; the
-// dots padding would discard are never computed.
-func (pt *PatchTable) InputGradInto(dx []float64, dpos, w *Tensor) {
-	n := w.shape[1]
+// input index tap t reads. Each dot starts from +0 and adds its
+// products in ascending j, as MatMulBTInto does; the dots padding would
+// discard are never added. When sc found w all finite, each dot skips
+// the products of ±0 dpos entries, and a position with none adds
+// nothing. sc must have been prepared with w.
+func (pt *PatchTable) InputGradInto(dx []float64, dpos, w *Tensor, sc *ConvScratch) {
 	pt.check("InputGradInto", dx, dpos, w)
+	if sc.w != w {
+		panic("tensor: PatchTable.InputGradInto weights are not those ConvScratch.Prepare checked")
+	}
+	pt.inputGrad(dx, dpos, w, sc, !sc.finiteW)
+}
+
+// inputGrad is InputGradInto with the zero-term choice made by the
+// caller: keepZeros adds the products of ±0 dpos entries.
+func (pt *PatchTable) inputGrad(dx []float64, dpos, w *Tensor, sc *ConvScratch, keepZeros bool) {
+	n := w.shape[1]
 	clear(dx)
 	for p := 0; p < pt.positions; p++ {
-		dp := dpos.data[p*n : (p+1)*n : (p+1)*n]
-		for t, ix := range pt.idx[p*pt.patch : (p+1)*pt.patch] {
-			if ix < 0 {
-				continue
+		k := sc.termRow(dpos.data[p*n:(p+1)*n], keepZeros)
+		if k == 0 {
+			continue
+		}
+		// The dots of all taps at once, one dpos entry at a time:
+		// acc[t] still adds its products in ascending j.
+		row := pt.idx[p*pt.patch : (p+1)*pt.patch]
+		acc := sc.acc[:len(row)]
+		clear(acc)
+		i := 0
+		for ; i+1 < k; i += 2 {
+			d0, d1 := sc.vals[i], sc.vals[i+1]
+			w0, w1 := w.data[sc.cols[i]:], w.data[sc.cols[i+1]:]
+			for t := range acc {
+				acc[t] = acc[t] + d0*w0[t*n] + d1*w1[t*n]
 			}
-			wr := w.data[t*n : (t+1)*n : (t+1)*n]
-			s := 0.0
-			for j, v := range dp {
-				s += v * wr[j]
+		}
+		if i < k {
+			d, wc := sc.vals[i], w.data[sc.cols[i]:]
+			for t := range acc {
+				acc[t] += d * wc[t*n]
 			}
-			dx[ix] += s
+		}
+		for t, ix := range row {
+			if ix >= 0 {
+				dx[ix] += acc[t]
+			}
 		}
 	}
 }
@@ -181,27 +301,6 @@ func gatherPatch(vals *[matMulNZChunk]float64, offs *[matMulNZChunk]int, x []flo
 	cnt := 0
 	for _, ix := range idx {
 		if ix >= 0 {
-			v := x[ix]
-			vals[cnt&(matMulNZChunk-1)] = v
-			offs[cnt&(matMulNZChunk-1)] = off
-			if v != 0 {
-				cnt++
-			}
-		}
-		off += n
-	}
-	return cnt
-}
-
-// gatherTap is gatherPatch down one patch-matrix column: it reads
-// count table entries idx[0], idx[stride], ... in ascending position
-// order.
-//
-//go:noinline
-func gatherTap(vals *[matMulNZChunk]float64, offs *[matMulNZChunk]int, x []float64, idx []int32, stride, count, off, n int) int {
-	cnt := 0
-	for q := 0; q < count; q++ {
-		if ix := idx[q*stride]; ix >= 0 {
 			v := x[ix]
 			vals[cnt&(matMulNZChunk-1)] = v
 			offs[cnt&(matMulNZChunk-1)] = off

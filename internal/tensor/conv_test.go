@@ -305,6 +305,40 @@ func assertBitsEqual(t *testing.T, got, want []float64, what string) {
 	}
 }
 
+// sparsify turns about four in five entries of a [positions, n] dpos
+// into ±0 (every third row entirely), as ReLU and pooling leave it,
+// and, if plant is set, plants ±Inf and NaN among the rest.
+func sparsify(dpos *Tensor, rng *RNG, plant bool) {
+	n := dpos.shape[1]
+	for i := range dpos.data {
+		if (i/n)%3 == 1 || rng.Intn(5) != 0 {
+			dpos.data[i] = math.Copysign(0, float64(1-2*(i%2)))
+		}
+	}
+	for i := 3; plant && i < len(dpos.data); i += 37 {
+		dpos.data[i] = []float64{math.Inf(1), math.Inf(-1), hwNaN}[i%3]
+	}
+}
+
+// hwNaN is the NaN the hardware makes of Inf·0, the only NaN the
+// kernels create. Test data plants it rather than math.NaN(): where two
+// NaNs with different payloads meet in an add, which one survives
+// depends on the operand order the compiler picks, which no kernel
+// pins.
+var hwNaN = mulNoinline(math.Inf(1), 0)
+
+//go:noinline
+func mulNoinline(a, b float64) float64 { return a * b }
+
+// kernelPaths runs a backward kernel three ways, each into a fresh
+// output with a freshly prepared scratch: as its exported method picks
+// (run(sc, nil)), with every dpos term kept, and with ±0 dpos terms
+// skipped (run(sc, &keepZeros)).
+func kernelPaths(run func(sc *ConvScratch, keepZeros *bool) []float64) (picked, all, skip []float64) {
+	keep, drop := true, false
+	return run(&ConvScratch{}, nil), run(&ConvScratch{}, &keep), run(&ConvScratch{}, &drop)
+}
+
 // TestConvTableKernelsBitIdentical proves the three PatchTable kernels
 // against the im2col formulation they replace, bit for bit: forward
 // against Im2Col + MatMulInto, the weight gradient against Im2Col +
@@ -314,6 +348,11 @@ func assertBitsEqual(t *testing.T, got, want []float64, what string) {
 // outputs turn NaN); ±Inf dpos entries face zero inputs and padding
 // (the weight gradient must skip them); and an Inf in dpos faces a
 // zero weight (the input gradient skips nothing, so that dx is NaN).
+// Both backward kernels run with ±0 dpos terms kept and skipped over a
+// dpos that is mostly ±0 with ±Inf and NaN among the rest. An Inf in
+// the input, and an Inf or NaN in the weights, must make the kernel
+// that multiplies it by dpos keep every term: skipping would lose an
+// Inf·0 = NaN term there.
 func TestConvTableKernelsBitIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -372,22 +411,64 @@ func TestConvTableKernelsBitIdentical(t *testing.T) {
 
 			// Weight gradient: ±Inf at the first and last positions,
 			// which read padding (when padded) and channel 1's zeros.
+			weightGrad := func(x []float64, dpos *Tensor) func(*ConvScratch, *bool) []float64 {
+				return func(sc *ConvScratch, keepZeros *bool) []float64 {
+					dst := New(patch, n)
+					dst.Fill(7)
+					sc.Prepare(pt, New(patch, n))
+					if keepZeros == nil {
+						pt.WeightGradInto(dst, x, dpos, sc)
+					} else {
+						pt.weightGrad(dst, x, dpos, sc, *keepZeros)
+					}
+					return dst.data
+				}
+			}
+			for _, sparse := range []bool{false, true} {
+				dpos := New(positions, n)
+				rng.FillNormal(dpos, 0, 1)
+				if sparse {
+					sparsify(dpos, rng, true)
+				}
+				for j := 0; j < n; j++ {
+					dpos.data[j] = math.Inf(1)
+					dpos.data[(positions-1)*n+j] = math.Inf(-1)
+				}
+				wantDW := New(patch, n)
+				MatMulATInto(wantDW, cols, dpos)
+				picked, all, skip := kernelPaths(weightGrad(x.data, dpos))
+				assertBitsEqual(t, picked, wantDW.data, "WeightGradInto")
+				assertBitsEqual(t, all, wantDW.data, "weight gradient, ±0 terms kept")
+				assertBitsEqual(t, skip, wantDW.data, "weight gradient, ±0 terms skipped")
+				for i := taps * n; i < 2*taps*n; i++ {
+					if picked[i] != 0 {
+						t.Fatalf("weight gradient of a tap on the all-zero channel is %v, want 0", picked[i])
+					}
+				}
+			}
+
+			// An Inf input read where dpos is ±0: the guard must keep
+			// every term, whose Inf·0 makes that weight gradient NaN.
 			dpos := New(positions, n)
 			rng.FillNormal(dpos, 0, 1)
-			for j := 0; j < n; j++ {
-				dpos.data[j] = math.Inf(1)
-				dpos.data[(positions-1)*n+j] = math.Inf(-1)
-			}
-			wantDW := New(patch, n)
-			MatMulATInto(wantDW, cols, dpos)
-			gotDW := New(patch, n)
-			gotDW.Fill(7)
-			pt.WeightGradInto(gotDW, x.data, dpos)
-			assertBitsEqual(t, gotDW.data, wantDW.data, "WeightGradInto")
-			for i := taps * n; i < 2*taps*n; i++ {
-				if gotDW.data[i] != 0 {
-					t.Fatalf("weight gradient of a tap on the all-zero channel is %v, want 0", gotDW.data[i])
+			sparsify(dpos, rng, false)
+			xInf := x.Clone()
+			pInf := 1 + 3*(positions/6) // a row sparsify zeroed
+			for _, ix := range pt.idx[pInf*patch : (pInf+1)*patch] {
+				if ix >= 0 {
+					xInf.data[ix] = math.Inf(1)
+					break
 				}
+			}
+			colsInf := New(positions, patch)
+			Im2Col(colsInf, xInf, g)
+			wantDW := New(patch, n)
+			MatMulATInto(wantDW, colsInf, dpos)
+			picked, all, skip := kernelPaths(weightGrad(xInf.data, dpos))
+			assertBitsEqual(t, picked, wantDW.data, "WeightGradInto, Inf input")
+			assertBitsEqual(t, all, wantDW.data, "weight gradient, Inf input, ±0 terms kept")
+			if sameBits(skip, wantDW.data) {
+				t.Fatal("the Inf input meets no ±0 dpos term: the guard case tests nothing")
 			}
 
 			// Input gradient: one Inf in dpos, facing a zero weight.
@@ -396,26 +477,91 @@ func TestConvTableKernelsBitIdentical(t *testing.T) {
 			for i := 0; i < len(wb.data); i += 11 {
 				wb.data[i] = 0
 			}
+			wb.data[0] = 0 // tap 0 meets the Inf with a zero weight
+			inputGrad := func(dpos, w *Tensor) func(*ConvScratch, *bool) []float64 {
+				return func(sc *ConvScratch, keepZeros *bool) []float64 {
+					dx := make([]float64, g.InC*g.InH*g.InW)
+					for i := range dx {
+						dx[i] = 7
+					}
+					sc.Prepare(pt, w)
+					if keepZeros == nil {
+						pt.InputGradInto(dx, dpos, w, sc)
+					} else {
+						pt.inputGrad(dx, dpos, w, sc, *keepZeros)
+					}
+					return dx
+				}
+			}
+			wantInputGrad := func(dpos, w *Tensor) []float64 {
+				dcols := New(positions, patch)
+				MatMulBTInto(dcols, dpos, w)
+				dx := New(g.InC, g.InH, g.InW)
+				Col2Im(dx, dcols, g)
+				return dx.data
+			}
+			p0 := positions / 2
+			for _, sparse := range []bool{false, true} {
+				dposX := New(positions, n)
+				rng.FillNormal(dposX, 0, 1)
+				if sparse {
+					sparsify(dposX, rng, true)
+				}
+				dposX.data[p0*n] = math.Inf(1)
+				wantDX := wantInputGrad(dposX, wb)
+				picked, all, skip := kernelPaths(inputGrad(dposX, wb))
+				assertBitsEqual(t, picked, wantDX, "InputGradInto")
+				assertBitsEqual(t, all, wantDX, "input gradient, ±0 terms kept")
+				assertBitsEqual(t, skip, wantDX, "input gradient, ±0 terms skipped")
+				if ix := pt.idx[p0*patch]; ix >= 0 && !math.IsNaN(picked[ix]) {
+					t.Fatalf("dx[%d] = %v: Inf times a zero weight must give NaN", ix, picked[ix])
+				}
+			}
+
+			// An Inf and a NaN weight facing ±0 dpos entries: the guard
+			// must keep every term, whose products with them are NaN.
 			dposX := New(positions, n)
 			rng.FillNormal(dposX, 0, 1)
-			p0 := positions / 2
-			dposX.data[p0*n] = math.Inf(1)
-			wb.data[0] = 0 // tap 0 meets the Inf with a zero weight
-			dcols := New(positions, patch)
-			MatMulBTInto(dcols, dposX, wb)
-			wantDX := New(g.InC, g.InH, g.InW)
-			Col2Im(wantDX, dcols, g)
-			gotDX := make([]float64, g.InC*g.InH*g.InW)
-			for i := range gotDX {
-				gotDX[i] = 7
-			}
-			pt.InputGradInto(gotDX, dposX, wb)
-			assertBitsEqual(t, gotDX, wantDX.data, "InputGradInto")
-			if ix := pt.idx[p0*patch]; ix >= 0 && !math.IsNaN(gotDX[ix]) {
-				t.Fatalf("dx[%d] = %v: Inf times a zero weight must give NaN", ix, gotDX[ix])
+			sparsify(dposX, rng, false)
+			for bi, bad := range []float64{math.Inf(-1), hwNaN} {
+				wBad := wb.Clone()
+				wBad.data[(patch/2)*n+bi%n] = bad
+				wantDX := wantInputGrad(dposX, wBad)
+				picked, all, skip := kernelPaths(inputGrad(dposX, wBad))
+				assertBitsEqual(t, picked, wantDX, fmt.Sprintf("InputGradInto, %v weight", bad))
+				assertBitsEqual(t, all, wantDX, fmt.Sprintf("input gradient, %v weight, ±0 terms kept", bad))
+				if sameBits(skip, wantDX) {
+					t.Fatalf("the %v weight meets no ±0 dpos term: the guard case tests nothing", bad)
+				}
 			}
 		})
 	}
+}
+
+// TestInputGradIntoChecksPreparedWeights: a scratch prepared for other
+// weights carries their finiteness check, so InputGradInto refuses it.
+func TestInputGradIntoChecksPreparedWeights(t *testing.T) {
+	g := ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
+	pt := NewPatchTable(g)
+	w, other := New(9, 2), New(9, 2)
+	var sc ConvScratch
+	sc.Prepare(pt, other)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("InputGradInto accepted a scratch prepared for other weights")
+		}
+	}()
+	pt.InputGradInto(make([]float64, 16), New(4, 2), w, &sc)
+}
+
+// sameBits reports whether a and b hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
 }
 
 // TestPatchTableEntries pins the table against Im2Col: entry (p, t) is

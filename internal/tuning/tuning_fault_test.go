@@ -1,6 +1,7 @@
 package tuning
 
 import (
+	"reflect"
 	"testing"
 
 	"memlife/internal/fault"
@@ -102,6 +103,48 @@ func TestStuckDevicesSkippedWithoutStress(t *testing.T) {
 		if got := l.Crossbar.Device(k.i, k.j).Stress(); got != s0 {
 			t.Fatalf("stuck device (%d,%d) of layer %s gained stress %g during tuning",
 				k.i, k.j, l.Name, got-s0)
+		}
+	}
+}
+
+// TestTunePatienceStopResult pins two runs that stop on patience, with
+// noise-free reads and with read-noise bursts: their Results and the
+// accuracy of the next readback. The final accuracy is a fresh
+// readback. With noise-free reads it repeats the last evaluation; with
+// bursts it draws noise of its own (note the trace's last two entries).
+func TestTunePatienceStopResult(t *testing.T) {
+	cases := []struct {
+		burst float64
+		want  Result
+		after float64
+	}{
+		{0, Result{Iterations: 13, FinalAcc: 0.9625, Pulses: 12740, Stress: 7888.744596811452,
+			AccTrace: []float64{0.50625, 0.5125, 0.59375, 0.675, 0.7625, 0.79375, 0.81875, 0.85625,
+				0.86875, 0.93125, 0.95625, 0.96875, 0.975, 0.9625, 0.9625}}, 0.9625},
+		{0.3, Result{Iterations: 5, FinalAcc: 0.79375, Pulses: 4900, Stress: 3055.2037080639966,
+			AccTrace: []float64{0.50625, 0.53125, 0.59375, 0.70625, 0.7375, 0.73125, 0.79375}}, 0.75625},
+	}
+	for _, tc := range cases {
+		mn, ds, x, y := fixture(t)
+		if tc.burst > 0 {
+			if err := mn.SetFaults(fault.Config{ReadBurstProb: tc.burst, ReadBurstSigma: 0.05, Seed: 9}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mn.Drift(0.3, tensor.NewRNG(5))
+		res, err := Tune(mn, ds, x, y, Config{MaxIters: 40, TargetAcc: 1.0, BatchSize: 16, Patience: 1, Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, tc.want) {
+			t.Fatalf("read bursts %v: Result\n%#v, want\n%#v", tc.burst, res, tc.want)
+		}
+		after, err := mn.Accuracy(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after != tc.after {
+			t.Fatalf("read bursts %v: accuracy after tuning %v, want %v", tc.burst, after, tc.after)
 		}
 	}
 }
